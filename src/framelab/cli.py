@@ -216,10 +216,12 @@ def cmd_eig_hist(args):
     config.update(k=k, beta=beta, trials=args.trials, seed=args.seed,
                   bins=args.bins, reference=ref_name)
 
-    out_zoom = zoom_path(args.out)
-    for path, rng_ in ((args.out, value_range), (out_zoom, (0.0, 0.2))):
-        hist = spectral.eigen_histogram(frame, k, trials=args.trials, bins=args.bins,
-                                        seed=args.seed, value_range=rng_)
+    # one eigenvalue sweep, binned over the full range and over the zoom
+    full = spectral.eigen_histogram(frame, k, trials=args.trials, bins=args.bins,
+                                    seed=args.seed, value_range=value_range)
+    zoom_range = (0.0, 0.2)
+    for path, rng_, hist in ((args.out, value_range, full),
+                             (zoom_path(args.out), zoom_range, full.rebin(zoom_range))):
         cfg = dict(config)
         cfg.update(value_lo=rng_[0], value_hi=rng_[1],
                    min_eigenvalue=repr(hist.min_eigenvalue),
@@ -405,6 +407,14 @@ def cmd_construct(args):
 
 # --- parser ------------------------------------------------------------------
 
+def count(text):
+    """argparse type for counts (trials, bins, budget): an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="framelab",
@@ -416,9 +426,9 @@ def build_parser():
     def common(s, trials=2000):
         add_frame_args(s)
         s.add_argument("--k", type=int, help="number of important samples")
-        s.add_argument("--trials", type=int, default=trials)
+        s.add_argument("--trials", type=count, default=trials)
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--bins", type=int, default=60)
+        s.add_argument("--bins", type=count, default=60)
         s.add_argument("--out", required=True, help="output file")
         s.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -453,7 +463,7 @@ def build_parser():
 
     s = sub.add_parser("optimize", help="MLIE descent or local-minimum verification")
     common(s, trials=200)
-    s.add_argument("--budget", type=int, default=500, help="pattern budget")
+    s.add_argument("--budget", type=count, default=500, help="pattern budget")
     s.add_argument("--iters", type=int, default=200)
     s.add_argument("--step", type=float, default=1e-2)
     s.add_argument("--verify", action="store_true", help="probe local minimality instead")

@@ -76,6 +76,8 @@ class Frame:
         n, m = a.shape
         if not (n >= m >= 1):
             raise FrameError(f"need n >= m >= 1, got n={n}, m={m}")
+        if not np.isfinite(a).all():
+            raise FrameError("frame data must be finite (no nan or inf)")
         if self.kind != "random_iid":
             norms = np.linalg.norm(a, axis=1)
             bad = np.abs(norms - 1.0).max()
@@ -124,14 +126,18 @@ def build_dft_spectrum(n, spectrum, kind="dft_spectrum") -> Frame:
     """IDFT columns at the given frequency subset, unit rows."""
     spec = tuple(int(f) for f in spectrum)
     m = len(spec)
+    if m == 0:
+        raise FrameError(f"need n >= m >= 1, got n={n}, m=0")
     if len(set(spec)) != m:
         raise FrameError("duplicate spectrum index")
     if any(not 0 <= f < n for f in spec):
         raise FrameError("spectrum index out of range")
+    # exp(2 pi i t f / n) is the n-th root of unity at t f mod n; reducing
+    # t f exactly in integers keeps every exp argument below 2 pi
     t = np.arange(n)[:, None]
-    f = np.array(spec)[None, :]
-    a = np.exp(2j * np.pi * t * f / n) / np.sqrt(m)
-    return Frame(a, kind=kind, spectrum=spec)
+    f = np.array(spec, dtype=np.int64)[None, :]
+    roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(m)
+    return Frame(roots[t * f % n], kind=kind, spectrum=spec)
 
 
 def build_random_iid(n, m, field="real", seed=0) -> Frame:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import cho_factor, solve_triangular, LinAlgError
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 __all__ = [
     "EigenSample",
@@ -44,6 +44,11 @@ __all__ = [
 # histograms need to tell "huge but finite" from "gone".
 SINGULARITY_RATIO = 1e-12
 
+# Leading sort keys tried before the full lexicographic sort: a complex
+# band-limited frame has a constant column 0 (keys 0-1), so keys 2-3 are the
+# first to tell its rows apart.
+_LEADING_KEYS = 4
+
 
 def _canonical_submatrix(frame, pattern):
     """Pattern submatrix with rows in canonical (lexicographic) order.
@@ -61,7 +66,14 @@ def _canonical_submatrix(frame, pattern):
         raise ValueError("repeated pattern index")
     a_s = frame.data[idx]
     key = a_s.view(np.float64).reshape(idx.size, -1)
-    order = np.lexsort(key.T[::-1])
+    # Once the leading keys leave no two rows tied, the later keys never
+    # decide a comparison and the short sort is the full one.  Ties (repeated
+    # rows) take the full sort.  Frame data is finite, so == sees every tie.
+    lead = key[:, :_LEADING_KEYS]
+    order = np.lexsort(lead.T[::-1])
+    ranked = lead[order]
+    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
+        order = np.lexsort(key.T[::-1])
     return a_s[order]
 
 
@@ -92,25 +104,34 @@ def gram_eigenvalues(frame, pattern) -> EigenSample:
 
 
 def inverse_energy(frame, pattern):
-    """eta_s via a Cholesky solve of the pattern Gram; inf when singular.
+    """eta_s via a Cholesky factorization of the pattern Gram; inf when singular.
 
     tr(G^{-1}) = ||L^{-1}||_F^2 for G = L L'.  A failed or suspicious
     factorization (pivot ratio at the singularity threshold) falls back to the
     eigenvalue route, which owns the singular/finite decision.
+
+    The C-ordered k x m submatrix is the Fortran-ordered m x k matrix
+    B = A_s^T, so BLAS herk/syrk forms B^H B = conj(G) in its lower triangle
+    without a copy; conjugation changes neither the pivots nor the trace.
+    LAPACK potrf and trtri read and write only that triangle.
     """
     a_s = _canonical_submatrix(frame, pattern)
-    g = a_s @ a_s.conj().T
-    g = (g + g.conj().T) / 2.0
-    try:
-        low, lower = cho_factor(g, lower=True, check_finite=False)
-    except LinAlgError:
+    gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
+    potrf, trtri = get_lapack_funcs(("potrf", "trtri"), (a_s,))
+    g = gram_k(1.0, a_s.T, trans=2, lower=1)
+    low, info = potrf(g, lower=1, clean=0, overwrite_a=1)
+    if info > 0:  # not positive definite
         return gram_eigenvalues(frame, pattern).eta
+    if info < 0:
+        raise ValueError(f"potrf: illegal argument {-info}")
     d = np.abs(np.diag(low))
     # pivots are sqrt-eigenvalue-like; stay an order away from the threshold
     if d.min() ** 2 <= 1e2 * SINGULARITY_RATIO * d.max() ** 2:
         return gram_eigenvalues(frame, pattern).eta
-    inv_low = solve_triangular(low, np.eye(g.shape[0], dtype=g.dtype),
-                               lower=True, check_finite=False)
+    inv_low, info = trtri(low, lower=1, overwrite_c=1)
+    if info:
+        raise ValueError(f"trtri failed with info={info}")
+    inv_low = np.tril(inv_low)
     return float(np.real(np.vdot(inv_low, inv_low))) / frame.m
 
 
@@ -201,8 +222,14 @@ def manova_eta_limit(beta, m_over_n=0.5):
         def integrand(x):
             return math.sqrt(max(c * c - (x - 1.0) ** 2, 0.0)) / (math.pi * x * x * (2.0 - x))
     else:
+        w = m_over_n
+
         def integrand(x):
-            return manova_density(x, m_over_n, beta) / (beta * x)
+            # manova_density(x) / (beta x), in the same order of operations
+            if not lo < x < hi:
+                return 0.0
+            return (beta * math.sqrt((x - lo) * (hi - x))
+                    / (2.0 * math.pi * x * (1.0 - w * x)) / (beta * x))
 
     val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
     return val
@@ -222,10 +249,35 @@ class EigenHistogram:
     max_eigenvalue: float
     trials: int
     seed: int
+    eigenvalues: np.ndarray  # every sampled eigenvalue, for rebinning
 
     @property
     def bin_centers(self):
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
+
+    @classmethod
+    def from_eigenvalues(cls, eigenvalues, bins, value_range, trials, seed):
+        w = np.asarray(eigenvalues)
+        counts, edges = np.histogram(w, bins=bins, range=value_range)
+        total = counts.sum()
+        widths = np.diff(edges)
+        density = counts / (total * widths) if total else np.zeros(bins)
+        return cls(
+            bin_edges=edges,
+            density=density,
+            counts=counts,
+            n_samples=int(w.size),
+            min_eigenvalue=float(w.min()),
+            max_eigenvalue=float(w.max()),
+            trials=trials,
+            seed=seed,
+            eigenvalues=w,
+        )
+
+    def rebin(self, value_range):
+        """The same eigenvalue sample, binned over another range."""
+        return EigenHistogram.from_eigenvalues(self.eigenvalues, self.counts.size,
+                                               value_range, self.trials, self.seed)
 
 
 def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> EigenHistogram:
@@ -246,21 +298,8 @@ def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> Eig
     for t in range(trials):
         s = sample_pattern(frame.n, k, seed=(seed, t))
         all_w.append(gram_eigenvalues(frame, s).eigenvalues)
-    w = np.concatenate(all_w)
-    counts, edges = np.histogram(w, bins=bins, range=value_range)
-    total = counts.sum()
-    widths = np.diff(edges)
-    density = counts / (total * widths) if total else np.zeros(bins)
-    return EigenHistogram(
-        bin_edges=edges,
-        density=density,
-        counts=counts,
-        n_samples=int(w.size),
-        min_eigenvalue=float(w.min()),
-        max_eigenvalue=float(w.max()),
-        trials=trials,
-        seed=seed,
-    )
+    return EigenHistogram.from_eigenvalues(np.concatenate(all_w), bins, value_range,
+                                           trials, seed)
 
 
 def l1_density_distance(hist, density_fn, subdivisions=16):

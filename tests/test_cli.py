@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from framelab import cli, frames
+from framelab import cli, frames, spectral
 
 
 def _lines_without_timestamp(path):
@@ -78,6 +78,38 @@ def test_eig_hist_writes_zoom_and_reference(tmp_path):
     rows = [ln for ln in open(out) if not ln.startswith("#")]
     assert rows[0].strip() == "bin_center,empirical_density,reference_density"
     assert len(rows) == 1 + 100  # default bins
+
+
+def test_eig_hist_zoom_bins_the_same_sweep(tmp_path):
+    out = tmp_path / "eig.csv"
+    rc = cli.main(["eig-hist", "--frame", "iid", "--n", "40", "--m", "20",
+                   "--k", "10", "--trials", "7", "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    f = frames.build_random_iid(40, 20)
+    zoom = spectral.eigen_histogram(f, 10, trials=7, bins=100, seed=4,
+                                    value_range=(0.0, 0.2))
+    rows = [ln.strip().split(",") for ln in open(tmp_path / "eig_zoom.csv")
+            if not ln.startswith("#")][1:]
+    assert [float(r[1]) for r in rows] == zoom.density.tolist()
+    for key in ("min_eigenvalue", "max_eigenvalue"):
+        assert _header_value(out, key) == _header_value(tmp_path / "eig_zoom.csv", key)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ie-hist", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "0"],
+    ["ie-hist", "--frame", "dss", "--p", "7", "--k", "2", "--bins", "0"],
+    ["eig-hist", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "-1"],
+    ["coder", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "0"],
+    ["optimize", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5", "--budget", "0"],
+    ["ie-hist", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "many"],
+])
+def test_counts_below_one_exit_config(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "error: argument --" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eig_hist_iid_uses_mp_reference(tmp_path):

@@ -37,6 +37,8 @@ def test_dft_spectrum_validation():
         frames.build_dft_spectrum(8, [0, 0, 1])
     with pytest.raises(frames.FrameError):
         frames.build_dft_spectrum(8, [0, 8])
+    with pytest.raises(frames.FrameError, match="m=0"):
+        frames.build_dft_spectrum(8, [])
 
 
 def test_random_iid_row_norms_near_one():
@@ -175,6 +177,35 @@ def test_full_spark_detects_aliasing():
 def test_frame_rejects_non_unit_rows():
     with pytest.raises(frames.FrameError, match="unit norm"):
         frames.Frame(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("kind", ["custom", "random_iid", "dss"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_rejects_non_finite_data(kind, bad):
+    a = frames.build_random_iid(6, 3, seed=0).data.copy()
+    a[2, 1] = bad
+    with pytest.raises(frames.FrameError, match="finite"):
+        frames.Frame(a, kind=kind)
+    with pytest.raises(frames.FrameError, match="finite"):
+        frames.Frame(a.astype(complex), kind=kind)
+
+
+def test_dft_entries_are_roots_of_unity():
+    # entries are exactly the n-th roots of unity at t f mod n, scaled
+    n, spec = 13, (1, 4, 12)
+    f = frames.build_dft_spectrum(n, spec)
+    t = np.arange(n)[:, None]
+    reference = np.exp(2j * np.pi * ((t * np.array(spec)) % n) / n) / np.sqrt(len(spec))
+    assert np.array_equal(f.data, reference)
+    assert np.abs(f.data - np.exp(2j * np.pi * t * np.array(spec) / n)
+                  / np.sqrt(len(spec))).max() < 1e-14
+
+
+def test_dss947_certifies_to_rounding():
+    report = frames.verify_etf(frames.build_dss(947))
+    assert report.is_tight and report.is_equiangular
+    assert report.max_welch_deviation < 1e-15
+    assert report.tightness_error < 1e-14
 
 
 def test_frame_data_immutable():

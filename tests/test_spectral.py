@@ -73,6 +73,8 @@ def test_singular_pattern_reports_inf():
     assert spectral.inverse_energy(f, (0, 4)) == math.inf  # identical rows
     s = spectral.gram_eigenvalues(f, (0, 4))
     assert s.eta == math.inf
+    for s in [(1, 5), (0, 1, 4), (2, 3, 6, 7)]:  # rows t and t+4 coincide
+        assert spectral.inverse_energy(f, s) == math.inf
 
 
 def test_pattern_validation():
@@ -94,6 +96,119 @@ def test_eta_bitwise_invariant_under_row_relabeling():
     for s in [(0, 1, 2), (2, 5, 7, 9), (0, 4, 10)]:
         mapped = tuple(sorted(int(inv[i]) for i in s))
         assert spectral.inverse_energy(f, s) == spectral.inverse_energy(g, mapped)
+
+
+def _family_frames():
+    """One small frame per family, real and complex, keyed by a label."""
+    return {
+        "bandlimited": frames.build_bandlimited_dft(31, 24),
+        "iid_real": frames.build_random_iid(31, 12, seed=4),
+        "iid_complex": frames.build_random_iid(31, 12, field="complex", seed=4),
+        "dft_spectrum": frames.build_dft_spectrum(31, [1, 3, 4, 8, 11, 17, 20, 21, 25, 27]),
+        "dss": frames.build_dss(31),
+        "paley": frames.build_paley_etf(30),
+        "custom_real": random_unit_frame(31, 12, seed=6),
+        "custom_complex": random_unit_frame(31, 12, seed=6, complex_field=True),
+    }
+
+
+def _full_lexsort(frame, pattern):
+    a_s = frame.data[sorted(pattern)]
+    key = a_s.view(np.float64).reshape(len(pattern), -1)
+    return a_s[np.lexsort(key.T[::-1])]
+
+
+@pytest.mark.parametrize("label", sorted(_family_frames()))
+def test_canonical_order_matches_full_lexsort(label):
+    f = _family_frames()[label]
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 5, f.m):
+        s = tuple(rng.choice(f.n, k, replace=False).tolist())
+        assert np.array_equal(spectral._canonical_submatrix(f, s), _full_lexsort(f, s))
+
+
+def test_canonical_order_falls_back_on_leading_key_ties():
+    # rows 0-2 share their first four entries, so only the last two order
+    # them; rows 3 and 4 are the same vector twice
+    head = [0.3, 0.2, 0.1, 0.4]  # squared norm 0.3
+    r = math.sqrt(0.7)
+    tied = [head + [r * math.cos(phi), r * math.sin(phi)] for phi in (2.0, 0.5, 1.0)]
+    others = _unit_rows(np.random.default_rng(2).standard_normal((4, 6)))
+    f = frames.Frame(np.vstack([tied, others[0], others[0], others[1:]]))
+    for s in [(0, 1, 2), (2, 0, 1, 5), (3, 4), (0, 1, 2, 3, 4, 6)]:
+        assert np.array_equal(spectral._canonical_submatrix(f, s), _full_lexsort(f, s))
+
+
+@pytest.mark.parametrize("label", sorted(_family_frames()))
+def test_inverse_energy_matches_eigen_route_per_family(label):
+    f = _family_frames()[label]
+    rng = np.random.default_rng(9)
+    for k in (1, f.m // 2, f.m - 1):
+        s = tuple(sorted(rng.choice(f.n, k, replace=False).tolist()))
+        a = spectral.inverse_energy(f, s)
+        b = spectral.gram_eigenvalues(f, s).eta
+        assert abs(a - b) <= 1e-12 * b
+
+
+def test_inverse_energy_matches_eigen_route_dss947():
+    f = frames.build_dss(947)
+    for t in range(2):
+        s = tuple(sorted(np.random.default_rng((1, t)).choice(947, 378, replace=False)
+                         .tolist()))
+        a = spectral.inverse_energy(f, s)
+        b = spectral.gram_eigenvalues(f, s).eta
+        assert math.isfinite(a)
+        assert abs(a - b) <= 1e-12 * b
+
+
+def _count_eigen_fallbacks(monkeypatch):
+    calls = []
+    route = spectral.gram_eigenvalues
+
+    def counted(frame, pattern):
+        calls.append(pattern)
+        return route(frame, pattern)
+
+    monkeypatch.setattr(spectral, "gram_eigenvalues", counted)
+    return calls
+
+
+def _two_rows_at_angle(theta):
+    a = np.zeros((3, 2))
+    a[0] = (1.0, 0.0)
+    a[1] = (math.cos(theta), math.sin(theta))
+    a[2] = (0.0, 1.0)
+    return frames.Frame(a)
+
+
+def test_inverse_energy_cholesky_exit(monkeypatch):
+    calls = _count_eigen_fallbacks(monkeypatch)
+    f = _two_rows_at_angle(0.3)
+    eta = spectral.inverse_energy(f, (0, 1))
+    lam = np.array([1.0 - math.cos(0.3), 1.0 + math.cos(0.3)])
+    assert abs(eta - float(np.sum(1.0 / lam)) / 2) < 1e-12
+    assert calls == []
+
+
+def test_inverse_energy_failed_cholesky_exit(monkeypatch):
+    # identical rows: the second pivot is exactly zero and potrf refuses
+    calls = _count_eigen_fallbacks(monkeypatch)
+    f = _two_rows_at_angle(0.0)
+    assert spectral.inverse_energy(f, (0, 1)) == math.inf
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("theta, finite", [(5e-6, True), (1e-7, False)])
+def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
+    # pivot^2 = sin^2(theta) <= 1e-10 trips the pivot test; the eigen route
+    # then keeps lambda_min = 1 - cos(theta) finite above 2e-12 and inf below
+    calls = _count_eigen_fallbacks(monkeypatch)
+    f = _two_rows_at_angle(theta)
+    eta = spectral.inverse_energy(f, (0, 1))
+    assert len(calls) == 1
+    assert not math.isnan(eta)
+    assert math.isfinite(eta) == finite
+    assert eta == spectral.gram_eigenvalues(f, (0, 1)).eta
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans())
@@ -221,6 +336,18 @@ def test_eigen_histogram_deterministic():
     b = spectral.eigen_histogram(f, 16, trials=20, seed=3)
     assert np.array_equal(a.counts, b.counts)
     assert a.min_eigenvalue == b.min_eigenvalue
+
+
+def test_eigen_histogram_rebin_matches_fresh_sweep():
+    f = frames.build_random_iid(40, 20, seed=0)
+    a = spectral.eigen_histogram(f, 16, trials=20, bins=30, seed=3)
+    b = a.rebin((0.0, 0.2))
+    c = spectral.eigen_histogram(f, 16, trials=20, bins=30, seed=3, value_range=(0.0, 0.2))
+    for x, y in ((b.bin_edges, c.bin_edges), (b.counts, c.counts), (b.density, c.density),
+                 (b.eigenvalues, c.eigenvalues)):
+        assert np.array_equal(x, y)
+    assert (b.min_eigenvalue, b.max_eigenvalue, b.n_samples) == (
+        c.min_eigenvalue, c.max_eigenvalue, c.n_samples)
 
 
 def test_eigen_histogram_area_one():
