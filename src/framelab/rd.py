@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import optimize as _sciopt
 
 __all__ = [
@@ -128,16 +127,11 @@ def optimize_beta(p, gamma, beta_tol=1e-6):
         raise ValueError("p = 1 leaves no admissible beta")
     hi = 1.0 / p
     lo = 1.0 + 1e-9
-    grid = lo + (hi - lo) * np.arange(10000) / 9999
-    # random_transform_excess over the whole grid, in its order of operations
-    eta = 1.0 / (grid - 1.0)
-    arg = eta * gamma + (1.0 - eta)
-    if not np.all(arg > 0.0):
-        raise ValueError("eta*gamma + 1 - eta must be positive")
-    vals = 0.5 * p * (grid * np.log2(arg) - math.log2(gamma))
-    i0 = int(np.argmin(vals))
-    blo = float(grid[max(i0 - 1, 0)])
-    bhi = float(grid[min(i0 + 1, grid.size - 1)])
+    grid = [lo + (hi - lo) * i / 9999 for i in range(10000)]
+    vals = [random_transform_excess(p, b, gamma) for b in grid]
+    i0 = min(range(len(vals)), key=vals.__getitem__)
+    blo = grid[max(i0 - 1, 0)]
+    bhi = grid[min(i0 + 1, len(grid) - 1)]
     res = _sciopt.minimize_scalar(
         lambda b: random_transform_excess(p, b, gamma),
         bounds=(blo, bhi), method="bounded",
@@ -145,12 +139,8 @@ def optimize_beta(p, gamma, beta_tol=1e-6):
     )
     beta_star = float(res.x)
     delta_star = float(res.fun)
-    # np.log2 may differ from math.log2 in the last bit: compare the grid
-    # point through the scalar path
-    b0 = float(grid[i0])
-    v0 = random_transform_excess(p, b0, gamma)
-    if v0 < delta_star:  # guard: refinement must not lose to the grid
-        beta_star, delta_star = b0, v0
+    if vals[i0] < delta_star:  # guard: refinement must not lose to the grid
+        beta_star, delta_star = grid[i0], vals[i0]
     return beta_star, delta_star
 
 

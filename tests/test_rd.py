@@ -160,30 +160,6 @@ def test_optimize_beta_against_grid_oracle():
     assert abs(delta_star - 0.4619300228786012) < 1e-6
 
 
-def _optimize_beta_scalar_loop(p, gamma, beta_tol=1e-6):
-    """The grid search written as a plain Python loop over the scalar formula."""
-    from scipy import optimize as sciopt
-
-    hi, lo = 1.0 / p, 1.0 + 1e-9
-    grid = [lo + (hi - lo) * i / 9999 for i in range(10000)]
-    vals = [rd.random_transform_excess(p, b, gamma) for b in grid]
-    i0 = min(range(len(vals)), key=vals.__getitem__)
-    res = sciopt.minimize_scalar(
-        lambda b: rd.random_transform_excess(p, b, gamma),
-        bounds=(grid[max(i0 - 1, 0)], grid[min(i0 + 1, len(grid) - 1)]),
-        method="bounded", options={"xatol": beta_tol / 10.0})
-    if vals[i0] < float(res.fun):
-        return grid[i0], vals[i0]
-    return float(res.x), float(res.fun)
-
-
-@pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.5])
-def test_optimize_beta_matches_scalar_loop(p):
-    for db in (0.0, 0.5, 3.0, 10.0, 30.0, 60.0, 120.0, 220.0, 221.0, 300.0):
-        gamma = max(rd.gamma_from_db(db), 1.0 + 1e-12)
-        assert rd.optimize_beta(p, gamma) == _optimize_beta_scalar_loop(p, gamma)
-
-
 def test_optimize_beta_vanishes_at_low_sdr():
     # the optimal excess is tiny near gamma = 1 and grows with gamma
     deltas = [rd.optimize_beta(0.2, g)[1] for g in (1.01, 1.1, 2.0, 10.0, 1000.0)]
