@@ -58,6 +58,7 @@ from .patterns import (
     PatternGuardError,
     sample_pattern,
     enumerate_patterns,
+    pattern_set,
     IEStats,
     ie_statistics,
     SquareDivergence,

@@ -9,9 +9,12 @@ as a CSV (or JSON) data product with a full provenance header.
     framelab optimize  --frame bl --n 13 --m 7 --k 5 --out opt.csv
     framelab construct dss --p 7 --out dss7.frame
 
-Headers are `# key=value` lines (sorted), one `timestamp` line excepted from
-reproducibility: re-running with identical arguments reproduces every other
-byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+`mlie` is `ie-hist` with a shorter header that fails when every pattern is
+singular.  Headers are `# key=value` lines (sorted), one `timestamp` line
+excepted from reproducibility: re-running with identical arguments reproduces
+every other byte.  Exit codes: 0 success; 2 configuration error (argparse or
+the library refused the input, or an output file cannot be written); 3
+numerical failure (a singular pattern where a finite eta is needed).
 """
 
 from __future__ import annotations
@@ -97,40 +100,36 @@ def build_frame(args):
     kind = args.frame
     if kind is None:
         raise ConfigError("--frame is required")
-    try:
-        if kind == "bl":
-            if args.n is None or args.m is None:
-                raise ConfigError("bl frames need --n and --m")
-            return frames.build_bandlimited_dft(args.n, args.m)
-        if kind == "iid":
-            if args.n is None or args.m is None:
-                raise ConfigError("iid frames need --n and --m")
-            return frames.build_random_iid(args.n, args.m, field=args.field,
-                                           seed=args.frame_seed)
-        if kind == "dss":
-            if args.p is None:
-                raise ConfigError("dss frames need --p (a prime = 3 mod 4)")
-            p = int(args.p)
-            if p != args.p:
-                raise ConfigError("--p must be an integer prime for dss frames")
-            return frames.build_dss(p)
-        if kind == "spectrum":
-            if args.n is None or args.spectrum is None:
-                raise ConfigError("spectrum frames need --n and --spectrum")
-            if args.spectrum == "random":
-                if args.m is None:
-                    raise ConfigError("--spectrum random needs --m")
-                rng = np.random.default_rng(args.spectrum_seed)
-                spec = sorted(rng.choice(args.n, size=args.m, replace=False).tolist())
-            else:
-                spec = [int(tok) for tok in args.spectrum.split(",")]
-            return frames.build_dft_spectrum(args.n, spec)
-        if kind == "paley":
-            if args.n is None:
-                raise ConfigError("paley frames need --n (= q+1, q prime = 1 mod 4)")
-            return frames.build_paley_etf(args.n)
-    except frames.FrameError as exc:
-        raise ConfigError(str(exc)) from None
+    if kind == "bl":
+        if args.n is None or args.m is None:
+            raise ConfigError("bl frames need --n and --m")
+        return frames.build_bandlimited_dft(args.n, args.m)
+    if kind == "iid":
+        if args.n is None or args.m is None:
+            raise ConfigError("iid frames need --n and --m")
+        return frames.build_random_iid(args.n, args.m, field=args.field,
+                                       seed=args.frame_seed)
+    if kind == "dss":
+        if args.p is None:
+            raise ConfigError("dss frames need --p (a prime = 3 mod 4)")
+        if not args.p.is_integer():  # also refuses inf and nan
+            raise ConfigError("--p must be an integer prime for dss frames")
+        return frames.build_dss(int(args.p))
+    if kind == "spectrum":
+        if args.n is None or args.spectrum is None:
+            raise ConfigError("spectrum frames need --n and --spectrum")
+        if args.spectrum == "random":
+            if args.m is None:
+                raise ConfigError("--spectrum random needs --m")
+            rng = np.random.default_rng(args.spectrum_seed)
+            spec = sorted(rng.choice(args.n, size=args.m, replace=False).tolist())
+        else:
+            spec = [int(tok) for tok in args.spectrum.split(",")]
+        return frames.build_dft_spectrum(args.n, spec)
+    if kind == "paley":
+        if args.n is None:
+            raise ConfigError("paley frames need --n (= q+1, q prime = 1 mod 4)")
+        return frames.build_paley_etf(args.n)
     raise ConfigError(f"unknown frame kind {kind!r}")
 
 
@@ -160,7 +159,7 @@ def _reference_limits(frame, k):
     lims = {
         "beta": beta,
         "eta_floor": k / frame.m,
-        "iid_limit": _fmt(rd_safe_inverse(beta)),
+        "iid_limit": _fmt(spectral.mp_eta_limit(beta)),
     }
     if frame.kind in ("dss", "dft_spectrum", "bandlimited_dft"):
         try:
@@ -170,10 +169,6 @@ def _reference_limits(frame, k):
     return lims
 
 
-def rd_safe_inverse(beta):
-    return math.inf if beta <= 1.0 else 1.0 / (beta - 1.0)
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_ie_hist(args):
@@ -181,16 +176,20 @@ def cmd_ie_hist(args):
     k = _require_k(args, frame)
     stats = patterns.ie_statistics(frame, k, mode=args.mode, trials=args.trials,
                                    seed=args.seed, bins=args.bins)
+    mlie = args.subcommand == "mlie"
+    if mlie and stats.fraction_singular == 1.0:
+        raise NumericalError("every pattern is singular; MLIE undefined")
     config = frame_config(frame, args)
-    config.update(_reference_limits(frame, k))
+    if not mlie:
+        config.update(_reference_limits(frame, k), bins=args.bins)
     config.update(k=k, mode=stats.mode, trials=stats.trials, seed=args.seed,
-                  bins=args.bins, mean=_fmt(stats.mean), median=_fmt(stats.median),
+                  mean=_fmt(stats.mean), median=_fmt(stats.median),
                   mlie_bits=_fmt(stats.mlie),
                   fraction_singular=repr(stats.fraction_singular))
     rows = [(repr(float(lo)), repr(float(hi)), int(c)) for lo, hi, c in
             zip(stats.log_bin_edges[:-1], stats.log_bin_edges[1:], stats.log_counts)]
-    write_output(args.out, "ie-hist", config, ("log10_eta_lo", "log10_eta_hi", "count"),
-                 rows, args.format)
+    write_output(args.out, args.subcommand, config,
+                 ("log10_eta_lo", "log10_eta_hi", "count"), rows, args.format)
     return EXIT_OK
 
 
@@ -287,28 +286,6 @@ def cmd_rate_loss(args):
     return EXIT_OK
 
 
-def cmd_mlie(args):
-    frame = build_frame(args)
-    k = _require_k(args, frame)
-    try:
-        stats = patterns.ie_statistics(frame, k, mode=args.mode, trials=args.trials,
-                                       seed=args.seed, bins=args.bins)
-    except patterns.PatternGuardError as exc:
-        raise ConfigError(str(exc)) from None
-    if stats.fraction_singular == 1.0:
-        raise NumericalError("every pattern is singular; MLIE undefined")
-    config = frame_config(frame, args)
-    config.update(k=k, mode=stats.mode, trials=stats.trials, seed=args.seed,
-                  mlie_bits=repr(stats.mlie), mean=_fmt(stats.mean),
-                  median=_fmt(stats.median),
-                  fraction_singular=repr(stats.fraction_singular))
-    rows = [(repr(float(lo)), repr(float(hi)), int(c)) for lo, hi, c in
-            zip(stats.log_bin_edges[:-1], stats.log_bin_edges[1:], stats.log_counts)]
-    write_output(args.out, "mlie", config, ("log10_eta_lo", "log10_eta_hi", "count"),
-                 rows, args.format)
-    return EXIT_OK
-
-
 def cmd_coder(args):
     frame = build_frame(args)
     k = _require_k(args, frame)
@@ -342,9 +319,10 @@ def cmd_optimize(args):
     frame = build_frame(args)
     k = _require_k(args, frame)
     config = frame_config(frame, args)
+    if args.verify:
+        eps = tuple(float(tok) for tok in args.epsilons.split(","))
     try:
         if args.verify:
-            eps = tuple(float(tok) for tok in args.epsilons.split(","))
             report = verify_local_min(frame, k, epsilons=eps, trials=args.trials,
                                       seed=args.seed, mode=args.pattern_mode,
                                       pattern_budget=args.budget)
@@ -376,11 +354,7 @@ def cmd_optimize(args):
                          ("iteration", "sampled_mlie_bits", "step"), rows, args.format)
             if args.save_frame:
                 frames.save_frame(final, args.save_frame)
-    except patterns.PatternGuardError as exc:
-        raise ConfigError(str(exc)) from None
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except np.linalg.LinAlgError as exc:  # singular start frame or gradient pattern
         raise NumericalError(str(exc)) from None
     return EXIT_OK
 
@@ -452,7 +426,7 @@ def build_parser():
     s = sub.add_parser("mlie", help="mean logarithmic inverse energy of a frame")
     common(s)
     s.add_argument("--mode", choices=["auto", "exhaustive", "monte_carlo"], default="auto")
-    s.set_defaults(func=cmd_mlie)
+    s.set_defaults(func=cmd_ie_hist)
 
     s = sub.add_parser("coder", help="Monte Carlo run of the analog coding chain")
     common(s, trials=10000)
@@ -488,7 +462,7 @@ def main(argv=None):
         args.frame = args.family
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, or input the library refused
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from . import spectral
+from .frames import pattern_indices
 from .patterns import sample_pattern
 from .rd import wiener_alpha, wiener_distortion
 
@@ -35,19 +36,24 @@ class SingularPatternError(ValueError):
 def encoder_matrix(frame, pattern):
     """Pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k), via a Cholesky solve.
 
-    ||B_s||_F^2 / m equals the inverse energy eta_s.
+    ||B_s||_F^2 / m equals the inverse energy eta_s.  Singular vs finite is
+    decided as in `spectral.inverse_energy`: a failed or screened factorization
+    goes to `spectral.gram_eigenvalues`, and the pattern is singular exactly
+    when that gives eta = inf.
     """
-    idx = tuple(int(i) for i in getattr(pattern, "indices", pattern))
+    idx = pattern_indices(pattern)
     a_s = frame.submatrix(idx)
     g = a_s @ a_s.conj().T
     g = (g + g.conj().T) / 2.0
     try:
         factor = cho_factor(g, lower=True, check_finite=False)
     except LinAlgError:
-        raise SingularPatternError(f"pattern {idx} has a singular Gram") from None
-    d = np.abs(np.diag(factor[0]))
-    if d.min() ** 2 <= 1e2 * spectral.SINGULARITY_RATIO * d.max() ** 2:
-        raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
+        factor = None
+    if factor is None or spectral.pivots_near_singular(factor[0]):
+        if math.isinf(spectral.gram_eigenvalues(frame, idx).eta):
+            raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
+    if factor is None:
+        return np.linalg.solve(g, a_s).conj().T
     return cho_solve(factor, a_s, check_finite=False).conj().T
 
 
@@ -129,9 +135,11 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
 
     fixed = None
     if pattern is not None:
-        fixed = tuple(int(i) for i in getattr(pattern, "indices", pattern))
+        fixed = pattern_indices(pattern)
         if len(fixed) != k:
             raise ValueError("fixed pattern size disagrees with k")
+        if len(set(fixed)) != k or min(fixed) < 0 or max(fixed) >= n:
+            raise ValueError(f"fixed pattern {fixed} needs {k} distinct indices in [0, {n})")
         if lookup(fixed) is None:
             raise SingularPatternError(f"fixed pattern {fixed} is singular")
     elif k == n:

@@ -36,6 +36,7 @@ __all__ = [
     "welch_bound",
     "verify_etf",
     "full_spark_check",
+    "pattern_indices",
     "save_frame",
     "load_frame",
 ]
@@ -45,6 +46,15 @@ ROW_NORM_TOL = 1e-12
 
 class FrameError(ValueError):
     """Invalid frame construction parameters."""
+
+
+def pattern_indices(pattern):
+    """The row indices of a pattern, as a tuple of ints, in the given order.
+
+    A pattern is an `ErasurePattern` (anything with an `indices` attribute)
+    or any sequence of ints, a row of a pattern-set array included.
+    """
+    return tuple(np.asarray(getattr(pattern, "indices", pattern), dtype=np.intp).tolist())
 
 
 def _is_prime(p):
@@ -287,7 +297,7 @@ def full_spark_check(frame, patterns, tol=1e-10):
     """
     out = []
     for s in patterns:
-        idx = tuple(int(i) for i in getattr(s, "indices", s))
+        idx = pattern_indices(s)
         sv = np.linalg.svd(frame.submatrix(idx), compute_uv=False)
         out.append((idx, float(sv[-1]), bool(sv[-1] <= tol * sv[0])))
     return out
@@ -313,11 +323,19 @@ def save_frame(frame, path):
 
 
 def load_frame(path) -> Frame:
+    """Read a `save_frame` file; FrameError when the array disagrees with its
+    header's n, m and field."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         a = np.loadtxt(fh, ndmin=2)
-    m = header["m"]
-    if header["field"] == "complex":
+    n, m, field = header["n"], header["m"], header["field"]
+    if field not in ("real", "complex"):
+        raise FrameError(f"{path}: unknown field {field!r}")
+    cols = 2 * m if field == "complex" else m
+    if a.shape != (n, cols):
+        raise FrameError(f"{path}: header n={n} m={m} field={field} wants {n} rows of "
+                         f"{cols} values, the file holds {a.shape[0]} of {a.shape[1]}")
+    if field == "complex":
         a = a[:, :m] + 1j * a[:, m:]
     spectrum = header["spectrum"]
     return Frame(

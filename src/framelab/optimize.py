@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 
-from .frames import Frame
-from .patterns import ENUMERATION_GUARD, enumerate_patterns, sample_pattern
+from .frames import Frame, pattern_indices
+from .patterns import pattern_set
 from . import spectral
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "project_rows",
     "mlie_gradient",
     "sampled_mlie",
-    "fixed_pattern_set",
     "local_search",
     "verify_local_min",
 ]
@@ -54,28 +53,14 @@ def _as_array(frame_or_array):
     return np.asarray(frame_or_array)
 
 
-def _pattern_tuples(patterns):
-    return [tuple(int(i) for i in getattr(s, "indices", s)) for s in patterns]
-
-
-def fixed_pattern_set(n, k, budget, seed=0):
-    """The evaluation pattern set: exhaustive when C(n, k) fits the budget
-    (and the enumeration guard), else `budget` uniform draws with per-index
-    substreams."""
-    count = math.comb(n, k)
-    if count <= min(budget, ENUMERATION_GUARD):
-        return _pattern_tuples(enumerate_patterns(n, k)), "exhaustive"
-    return [sample_pattern(n, k, seed=(seed, t)).indices for t in range(budget)], "sampled"
-
-
 def _eta_and_gram_inv_sq(a_sub):
     """eta of a submatrix plus (A_s A_s')^{-2} A_s, the gradient core."""
     g = a_sub @ a_sub.conj().T
     g = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(g)
-    if w.min() <= spectral.SINGULARITY_RATIO * w.max() or w.min() <= 0.0:
-        return math.inf, None
-    eta = float(np.sum(1.0 / w)) / a_sub.shape[1]
+    eta = spectral.eta_from_eigenvalues(w, a_sub.shape[1])
+    if math.isinf(eta):
+        return eta, None
     inv_sq = (v / (w * w)) @ v.conj().T
     return eta, inv_sq @ a_sub
 
@@ -86,8 +71,9 @@ def sampled_mlie(frame_or_array, patterns):
     n, m = a.shape
     scale = 0.5 * (m / n)
     total = 0.0
-    for idx in _pattern_tuples(patterns):
-        g = a[list(idx)] @ a[list(idx)].conj().T
+    for s in patterns:
+        rows = list(pattern_indices(s))
+        g = a[rows] @ a[rows].conj().T
         w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
         eta = spectral.eta_from_eigenvalues(w, m)
         if math.isinf(eta):
@@ -105,14 +91,13 @@ def mlie_gradient(frame_or_array, patterns):
     """
     a = _as_array(frame_or_array)
     n, m = a.shape
-    pats = _pattern_tuples(patterns)
-    scale = 0.5 * (m / n) / len(pats)
+    scale = 0.5 * (m / n) / len(patterns)
     grad = np.zeros_like(a)
-    for idx in pats:
-        rows = list(idx)
+    for s in patterns:
+        rows = list(pattern_indices(s))
         eta, core = _eta_and_gram_inv_sq(a[rows])
         if core is None:
-            raise LinAlgError(f"singular pattern {idx} in gradient")
+            raise LinAlgError(f"singular pattern {tuple(rows)} in gradient")
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
         grad[rows] += scale / (eta * LOG2) * (-2.0 / m) * core
     return grad
@@ -146,13 +131,15 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200,
     accepted iterates; a singular trial step just shrinks like a failed Armijo
     test.  With sampled (non-exhaustive) patterns the report also carries a
     fresh-sample evaluation to expose overfitting to the common random set.
+    Raises LinAlgError when the start frame is singular on the pattern set.
     """
     a = project_rows(np.array(_as_array(frame)))
     n, m = a.shape
-    pats, mode = fixed_pattern_set(n, k, pattern_budget, seed=seed)
+    # exhaustive only when C(n, k) fits the budget too
+    pats, mode = pattern_set(n, k, "auto", pattern_budget, seed, max_exhaustive=pattern_budget)
     rho0 = sampled_mlie(a, pats)
     if math.isinf(rho0):
-        raise ValueError("start frame is rank deficient on the pattern set")
+        raise LinAlgError("start frame is rank deficient on the pattern set")
     rho = rho0
     steps = []
     history = [rho0]
@@ -182,8 +169,7 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200,
         iterations += 1
     fresh = None
     if mode == "sampled":
-        fresh_pats = [sample_pattern(n, k, seed=(seed + 1, t)).indices
-                      for t in range(len(pats))]
+        fresh_pats, _ = pattern_set(n, k, "sampled", len(pats), seed + 1)
         fresh = sampled_mlie(a, fresh_pats)
     report = OptReport(
         initial_mlie=rho0,
@@ -213,14 +199,7 @@ def verify_local_min(frame, k, epsilons=(1e-3, 1e-2), trials=200, seed=0,
     """
     a = project_rows(np.array(_as_array(frame)))
     n, m = a.shape
-    if mode == "exhaustive":
-        pats = _pattern_tuples(enumerate_patterns(n, k))  # guard propagates
-        pattern_mode = "exhaustive"
-    elif mode == "mc":
-        pats = [sample_pattern(n, k, seed=(seed, t)).indices for t in range(pattern_budget)]
-        pattern_mode = "sampled"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    pats, pattern_mode = pattern_set(n, k, mode, pattern_budget, seed)
     rho0 = sampled_mlie(a, pats)
     verdicts = []
     complex_field = np.iscomplexobj(a)

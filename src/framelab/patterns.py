@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "ENUMERATION_GUARD",
     "sample_pattern",
     "enumerate_patterns",
+    "pattern_set",
     "IEStats",
     "ie_statistics",
     "SquareDivergence",
@@ -73,15 +74,38 @@ def sample_pattern(n, k, seed=0) -> ErasurePattern:
 
 def enumerate_patterns(n, k):
     """All C(n, k) patterns in lexicographic order; refuses above the guard."""
+    idx, _ = pattern_set(n, k, "exhaustive")
+    for row in idx.tolist():
+        yield ErasurePattern(tuple(row))
+
+
+# 'monte_carlo' (ie-hist, mlie) and 'mc' (optimize --verify) spell 'sampled'
+_MODES = {"auto": "auto", "exhaustive": "exhaustive", "sampled": "sampled",
+          "monte_carlo": "sampled", "mc": "sampled"}
+
+
+def pattern_set(n, k, mode="auto", trials=2000, seed=0, max_exhaustive=ENUMERATION_GUARD):
+    """(T, k) int array of k-patterns of [0, n), one increasing row each, and
+    its mode: 'exhaustive' (all C(n, k) in lexicographic order, guard applies)
+    or 'sampled' (`trials` rows, row t = sample_pattern(n, k, seed=(seed, t))).
+    'auto' enumerates when C(n, k) <= min(max_exhaustive, ENUMERATION_GUARD)."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     count = math.comb(n, k)
+    mode = _MODES[mode]
+    if mode == "auto":
+        mode = "exhaustive" if count <= min(max_exhaustive, ENUMERATION_GUARD) else "sampled"
+    if mode == "sampled":
+        rows = [sample_pattern(n, k, seed=(seed, t)).indices for t in range(trials)]
+        return np.array(rows, dtype=np.intp).reshape(trials, k), mode
     if count > ENUMERATION_GUARD:
         raise PatternGuardError(
             f"C({n},{k}) = {count} patterns exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
-    for combo in combinations(range(n), k):
-        yield ErasurePattern(combo)
+    combos = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k), mode
 
 
 @dataclass(frozen=True)
@@ -124,30 +148,14 @@ def _log_histogram(samples, k, m, bins):
 def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStats:
     """eta_s statistics for k-patterns of the frame.
 
-    mode 'exhaustive' walks all C(n, k) patterns (guard applies), 'monte_carlo'
-    draws `trials` uniform patterns with per-trial substreams, 'auto' picks
-    exhaustive when within the guard.
+    The patterns are `pattern_set(n, k, mode, trials, seed)`; a sampled set
+    is reported as mode 'monte_carlo'.
     """
     n, m = frame.n, frame.m
     if k > m:
         raise ValueError(f"k={k} exceeds m={m}")
-    count = math.comb(n, k)
-    if mode == "auto":
-        mode = "exhaustive" if count <= ENUMERATION_GUARD else "monte_carlo"
-    if mode == "exhaustive":
-        etas = [spectral.inverse_energy(frame, s) for s in enumerate_patterns(n, k)]
-        used_trials = count
-        used_seed = None
-    elif mode == "monte_carlo":
-        etas = [
-            spectral.inverse_energy(frame, sample_pattern(n, k, seed=(seed, t)))
-            for t in range(trials)
-        ]
-        used_trials = trials
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    samples = np.array(etas)
+    idx, mode = pattern_set(n, k, mode, trials, seed)
+    samples = np.array([spectral.inverse_energy(frame, s) for s in idx])
     finite = samples[np.isfinite(samples)]
     n_singular = samples.size - finite.size
     scale = 0.5 * (m / n)
@@ -167,9 +175,9 @@ def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStat
         mlie=mlie,
         log_bin_edges=edges,
         log_counts=counts,
-        mode=mode,
-        trials=used_trials,
-        seed=used_seed,
+        mode="monte_carlo" if mode == "sampled" else mode,
+        trials=len(idx),
+        seed=None if mode == "exhaustive" else seed,
         n=n,
         m=m,
         k=k,

@@ -24,12 +24,15 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
+from .frames import pattern_indices
+
 __all__ = [
     "EigenSample",
     "EigenHistogram",
     "gram_eigenvalues",
     "inverse_energy",
     "eta_from_eigenvalues",
+    "pivots_near_singular",
     "mp_edges",
     "mp_density",
     "mp_eta_limit",
@@ -57,7 +60,7 @@ def _canonical_submatrix(frame, pattern):
     eigenvalues and eta mathematically fixed but perturbs floating point;
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
-    idx = np.asarray(sorted(int(i) for i in getattr(pattern, "indices", pattern)))
+    idx = np.asarray(sorted(pattern_indices(pattern)))
     if idx.size == 0:
         raise ValueError("empty pattern")
     if idx[0] < 0 or idx[-1] >= frame.n:
@@ -86,6 +89,16 @@ def eta_from_eigenvalues(eigenvalues, m):
     return float(np.sum(1.0 / w)) / m
 
 
+def pivots_near_singular(low):
+    """True when the Cholesky factor `low` cannot decide singular vs finite,
+    and `gram_eigenvalues` must.  A squared pivot ratio x leaves rounding of
+    about eps/x in the later pivots, which passes for a real pivot once x is
+    under sqrt(eps): rows (0, 1, 0), (sin e, cos e, 0), (1, 0, 0) span a plane,
+    yet at e = 1e-5 the third pivot comes out near 3e-4."""
+    d = np.abs(np.diag(low))
+    return d.min() ** 2 <= math.sqrt(np.finfo(float).eps) * d.max() ** 2
+
+
 @dataclass(frozen=True)
 class EigenSample:
     """Spectrum of one pattern Gram A_s A_s' (ascending) plus its eta."""
@@ -99,8 +112,8 @@ def gram_eigenvalues(frame, pattern) -> EigenSample:
     a_s = _canonical_submatrix(frame, pattern)
     g = a_s @ a_s.conj().T
     w = np.linalg.eigvalsh(g)
-    idx = tuple(int(i) for i in getattr(pattern, "indices", pattern))
-    return EigenSample(eigenvalues=w, pattern=idx, eta=eta_from_eigenvalues(w, frame.m))
+    return EigenSample(eigenvalues=w, pattern=pattern_indices(pattern),
+                       eta=eta_from_eigenvalues(w, frame.m))
 
 
 def inverse_energy(frame, pattern):
@@ -124,9 +137,7 @@ def inverse_energy(frame, pattern):
         return gram_eigenvalues(frame, pattern).eta
     if info < 0:
         raise ValueError(f"potrf: illegal argument {-info}")
-    d = np.abs(np.diag(low))
-    # pivots are sqrt-eigenvalue-like; stay an order away from the threshold
-    if d.min() ** 2 <= 1e2 * SINGULARITY_RATIO * d.max() ** 2:
+    if pivots_near_singular(low):
         return gram_eigenvalues(frame, pattern).eta
     inv_low, info = trtri(low, lower=1, overwrite_c=1)
     if info:
@@ -288,16 +299,14 @@ def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> Eig
     are derived from (seed, trial), so the aggregate is independent of
     evaluation order.
     """
-    from .patterns import sample_pattern  # deferred: patterns imports spectral
+    from .patterns import pattern_set  # deferred: patterns imports spectral
 
     if k > frame.m:
         raise ValueError(f"k={k} exceeds m={frame.m}")
     if value_range is None:
         value_range = (0.0, frame.n / frame.m)
-    all_w = []
-    for t in range(trials):
-        s = sample_pattern(frame.n, k, seed=(seed, t))
-        all_w.append(gram_eigenvalues(frame, s).eigenvalues)
+    idx, _ = pattern_set(frame.n, k, "sampled", trials, seed)
+    all_w = [gram_eigenvalues(frame, s).eigenvalues for s in idx]
     return EigenHistogram.from_eigenvalues(np.concatenate(all_w), bins, value_range,
                                            trials, seed)
 

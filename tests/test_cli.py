@@ -1,9 +1,14 @@
 """CLI behavior: exit codes, reproducible data products, and file formats."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framelab import cli, frames, spectral
 
@@ -211,3 +216,133 @@ def test_json_format(tmp_path):
     assert payload["subcommand"] == "rate-loss"
     assert payload["columns"][0] == "sdr_db"
     assert len(payload["rows"]) == 2
+
+
+_DSS7 = ["--frame", "dss", "--p", "7", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coder", *_DSS7, "--sigma-x2", "-1", "--trials", "10", "--out", "x.csv"],
+    ["ie-hist", "--frame", "spectrum", "--n", "8", "--spectrum", "1,x", "--k", "1",
+     "--out", "x.csv"],
+    ["coder", *_DSS7, "--pattern", "a,b", "--trials", "10", "--out", "x.csv"],
+    ["coder", *_DSS7, "--pattern", "1,9", "--trials", "10", "--out", "x.csv"],
+    ["coder", *_DSS7, "--pattern", "1,1", "--trials", "10", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--verify", "--epsilons", "abc", "--out", "x.csv"],
+    ["ie-hist", "--frame", "bl", "--n", "40", "--m", "30", "--k", "20",
+     "--mode", "exhaustive", "--out", "x.csv"],
+    ["mlie", "--frame", "bl", "--n", "40", "--m", "30", "--k", "20",
+     "--mode", "exhaustive", "--out", "x.csv"],
+    ["construct", "dss", "--p", "7", "--out", "nodir/x.frame"],
+    ["ie-hist", "--frame", "dss", "--p", "inf", "--k", "2", "--out", "x.csv"],
+    ["optimize", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5", "--seed", "-1",
+     "--iters", "1", "--out", "x.csv"],
+], ids=["sigma-x2", "spectrum", "pattern-text", "pattern-range", "pattern-repeat",
+        "epsilons", "ie-hist-guard", "mlie-guard", "construct-out", "p-inf",
+        "optimize-seed"])
+def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ie-hist", *_DSS7],
+    ["mlie", *_DSS7],
+    ["eig-hist", *_DSS7, "--trials", "3"],
+    ["rate-loss", "--p", "0.2", "--sdr-grid", "0:10:10"],
+    ["coder", *_DSS7, "--trials", "10"],
+    ["optimize", *_DSS7, "--iters", "1"],
+], ids=lambda argv: argv[0])
+def test_missing_output_directory_exits_config(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "nodir" / "x.csv")]) == cli.EXIT_CONFIG
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_mlie_all_singular_is_numerical_failure(tmp_path):
+    # seed 9 draws the one pattern (2, 6), whose rows coincide in the aliased
+    # spectrum; ie-hist still reports it, mlie has no finite eta to average
+    argv = ["--frame", "spectrum", "--n", "8", "--spectrum", "0,2,4,6", "--k", "2",
+            "--mode", "monte_carlo", "--trials", "1", "--seed", "9", "--out"]
+    assert cli.main(["ie-hist", *argv, str(tmp_path / "ie.csv")]) == cli.EXIT_OK
+    assert _header_value(tmp_path / "ie.csv", "fraction_singular") == "1.0"
+    assert cli.main(["mlie", *argv, str(tmp_path / "mlie.csv")]) == cli.EXIT_NUMERICAL
+
+
+_FRAMES = [
+    ["--frame", "bl", "--n", "13", "--m", "7"],
+    ["--frame", "bl", "--n", "8", "--m", "8"],
+    ["--frame", "iid", "--n", "16", "--m", "6", "--field", "complex"],
+    ["--frame", "iid", "--n", "6", "--m", "4", "--frame-seed", "3"],
+    ["--frame", "dss", "--p", "7"],
+    ["--frame", "dss", "--p", "11"],
+    ["--frame", "spectrum", "--n", "8", "--spectrum", "0,2,4,6"],
+    ["--frame", "spectrum", "--n", "12", "--m", "4", "--spectrum", "random"],
+    ["--frame", "paley", "--n", "14"],
+]
+_COMMON = {"--k": ["1", "2", "3", "4"], "--trials": ["1", "3"], "--seed": ["0", "9"],
+           "--bins": ["1", "4"], "--format": ["csv", "json"]}
+_MODE = {"--mode": ["auto", "exhaustive", "monte_carlo"]}
+_OPTIONS = {
+    "ie-hist": {**_COMMON, **_MODE},
+    "mlie": {**_COMMON, **_MODE},
+    "eig-hist": _COMMON,
+    "coder": {**_COMMON, "--sigma-x2": ["1", "2"], "--sigma-q2": ["0", "0.5"],
+              "--pattern": ["0,1", "2,0,1", "0,4"]},
+    "optimize": {**_COMMON, "--budget": ["5", "40"], "--iters": ["0", "2"],
+                 "--step": ["1e-2"], "--epsilons": ["1e-3", "1e-3,1e-2"],
+                 "--pattern-mode": ["exhaustive", "mc"], "--save-frame": ["final.frame"]},
+    "rate-loss": {"--p": ["0.2", "0.5"], "--sdr-grid": ["0:20:10"],
+                  "--format": ["csv", "json"]},
+    "construct": {},
+}
+_BAD_VALUES = ["-1", "0", "1.5", "inf", "x", "1,1", "1,9", "0:x:1", "20", "random",
+               "nodir/out.csv", "other"]
+
+
+@st.composite
+def _argv(draw):
+    """A command line of the option grammar at small sizes (n <= 16), with at
+    most one fault: an option dropped or given a bad value."""
+    sub = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [sub]
+    if sub == "construct":
+        frame = draw(st.sampled_from(_FRAMES))
+        argv += [frame[1], *frame[2:]]
+    elif sub != "rate-loss":
+        argv += draw(st.sampled_from(_FRAMES))
+    for name, values in _OPTIONS[sub].items():
+        # the default trial counts and grid take seconds; only a fault drops them
+        optional = name not in ("--trials", "--sdr-grid")
+        value = draw(st.sampled_from([None, *values] if optional else values))
+        if value is not None:
+            argv += [name, value]
+    if sub == "optimize" and draw(st.booleans()):
+        argv.append("--verify")
+    argv += ["--out", "out.frame" if sub == "construct" else "out.csv"]
+    fault = draw(st.sampled_from(["none", "drop", "value"]))
+    options = [i for i, tok in enumerate(argv) if tok.startswith("--")
+               and i + 1 < len(argv) and not argv[i + 1].startswith("--")]
+    if fault != "none" and options:
+        i = draw(st.sampled_from(options))
+        if fault == "drop":
+            del argv[i:i + 2]
+        else:
+            argv[i + 1] = draw(st.sampled_from(_BAD_VALUES))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_cli_exits_cleanly_on_any_argv(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            rc = exc.code
+        finally:
+            os.chdir(cwd)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), argv

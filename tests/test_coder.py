@@ -1,6 +1,7 @@
 """Coding-chain simulation: pseudo-inverse encoder, Wiener decoding, and the
 energy/distortion identities the model predicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -135,3 +136,60 @@ def test_simulate_validation():
     f = frames.build_dss(7)
     with pytest.raises(ValueError):
         coder.simulate(f, 4, 1.0, 1.0, trials=10)  # k > m
+
+
+def _epsilon_frame(eps):
+    # rows 0 and 1 are eps apart in angle, so patterns holding both come
+    # close to singular as eps shrinks
+    return frames.Frame(np.array([[1.0, 0.0, 0.0],
+                                  [math.cos(eps), math.sin(eps), 0.0],
+                                  [0.0, 0.0, 1.0],
+                                  [0.0, 1.0, 0.0]]))
+
+
+def _family_cases():
+    yield frames.build_bandlimited_dft(13, 7), (0, 3, 4, 9, 12)
+    yield frames.build_random_iid(12, 6, field="complex", seed=2), (1, 2, 5, 7)
+    yield frames.build_dss(11), (0, 3, 7)
+    yield frames.build_paley_etf(14), (2, 5, 6, 11, 13)
+
+
+def _agreement_cases():
+    for eps in (1e-5, 5e-6, 1e-6):
+        f = _epsilon_frame(eps)
+        for k in (2, 3):
+            for pat in itertools.combinations(range(4), k):
+                yield f, pat
+    aliased = frames.build_dft_spectrum(8, [0, 2, 4, 6])
+    for pat in itertools.combinations(range(8), 2):
+        yield aliased, pat
+    yield from _family_cases()
+
+
+def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
+    singular = finite = 0
+    for f, pat in _agreement_cases():
+        eta = spectral.inverse_energy(f, pat)
+        if math.isinf(eta):
+            singular += 1
+            with pytest.raises(coder.SingularPatternError):
+                coder.encoder_matrix(f, pat)
+        else:
+            finite += 1
+            b = coder.encoder_matrix(f, pat)
+            assert np.vdot(b, b).real / f.m == pytest.approx(eta, rel=1e-4), (f.data, pat)
+    assert singular >= 5 and finite >= 20
+    # the eps = 5e-6 pattern the eigenvalue test keeps, just above the threshold
+    assert math.isfinite(spectral.inverse_energy(_epsilon_frame(5e-6), (0, 1, 2)))
+
+
+def test_encoder_matrix_failed_cholesky_falls_back(monkeypatch):
+    def fail(*args, **kwargs):
+        raise coder.LinAlgError("not positive definite")
+
+    f = frames.build_dss(11)
+    want = coder.encoder_matrix(f, (0, 3, 7))
+    monkeypatch.setattr(coder, "cho_factor", fail)
+    assert np.allclose(coder.encoder_matrix(f, (0, 3, 7)), want, atol=1e-12)
+    with pytest.raises(coder.SingularPatternError):
+        coder.encoder_matrix(frames.build_dft_spectrum(8, [0, 2, 4, 6]), (0, 4))

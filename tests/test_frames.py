@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -239,3 +242,20 @@ def test_roundtrip_iid_preserves_seed(tmp_path):
     g = frames.load_frame(path)
     assert g.seed == 7 and g.kind == "random_iid"
     assert np.array_equal(f.data, g.data)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 7, "n=7 m=5 field=complex wants 7 rows of 10 values, the file holds 11 of 10"),
+    ("m", 4, "n=11 m=4 field=complex wants 11 rows of 8 values, the file holds 11 of 10"),
+    ("field", "real", "n=11 m=5 field=real wants 11 rows of 5 values, the file holds 11 of 10"),
+    ("field", "quaternion", "unknown field 'quaternion'"),
+])
+def test_load_frame_checks_header_against_array(tmp_path, key, value, message):
+    path = tmp_path / "dss.frame"
+    frames.save_frame(frames.build_dss(11), path)
+    header, body = path.read_text().split("\n", 1)
+    fields = json.loads(header)
+    fields[key] = value
+    path.write_text(json.dumps(fields) + "\n" + body)
+    with pytest.raises(frames.FrameError, match=re.escape(message)):
+        frames.load_frame(path)

@@ -96,9 +96,10 @@ def test_project_rows_idempotent_and_exact_on_unit_rows():
 
 
 def test_fixed_pattern_set_modes():
-    pats, mode = optimize.fixed_pattern_set(7, 2, budget=100)
+    # local_search's set: exhaustive only when C(n, k) fits the budget
+    pats, mode = patterns.pattern_set(7, 2, "auto", 100, max_exhaustive=100)
     assert mode == "exhaustive" and len(pats) == 21
-    pats, mode = optimize.fixed_pattern_set(13, 5, budget=300, seed=0)
+    pats, mode = patterns.pattern_set(13, 5, "auto", 300, seed=0, max_exhaustive=300)
     assert mode == "sampled" and len(pats) == 300
 
 

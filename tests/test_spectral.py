@@ -75,6 +75,12 @@ def test_singular_pattern_reports_inf():
     assert s.eta == math.inf
     for s in [(1, 5), (0, 1, 4), (2, 3, 6, 7)]:  # rows t and t+4 coincide
         assert spectral.inverse_energy(f, s) == math.inf
+    # three rows in one plane, two of them e apart: after the small second
+    # pivot, the third comes out as rounding noise (near 3e-4), not zero
+    for e in (2e-5, 1e-5):
+        plane = frames.Frame(np.array([[0.0, 1.0, 0.0], [math.sin(e), math.cos(e), 0.0],
+                                       [1.0, 0.0, 0.0]]))
+        assert spectral.inverse_energy(plane, (0, 1, 2)) == math.inf
 
 
 def test_pattern_validation():
@@ -200,7 +206,7 @@ def test_inverse_energy_failed_cholesky_exit(monkeypatch):
 
 @pytest.mark.parametrize("theta, finite", [(5e-6, True), (1e-7, False)])
 def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
-    # pivot^2 = sin^2(theta) <= 1e-10 trips the pivot test; the eigen route
+    # pivot^2 = sin^2(theta) <= 2.5e-11 trips the pivot test; the eigen route
     # then keeps lambda_min = 1 - cos(theta) finite above 2e-12 and inf below
     calls = _count_eigen_fallbacks(monkeypatch)
     f = _two_rows_at_angle(theta)
