@@ -54,10 +54,8 @@ from .rd import (
     db_from_gamma,
 )
 from .patterns import (
-    ErasurePattern,
     PatternGuardError,
     sample_pattern,
-    enumerate_patterns,
     pattern_set,
     IEStats,
     ie_statistics,

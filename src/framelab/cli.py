@@ -20,7 +20,9 @@ numerical failure (a singular pattern where a finite eta is needed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -194,11 +196,16 @@ def cmd_ie_hist(args):
 
 
 def _eig_reference(frame, k):
+    """Name and density of the reference law; 'none' and a zero density when
+    the frame has no law or lies outside the MANOVA law's domain."""
     beta = frame.m / k
     if frame.kind == "random_iid":
         return "marchenko_pastur", lambda x: spectral.mp_density(x, beta)
     if frame.kind in ("dss", "dft_spectrum"):
-        return "manova", lambda x: spectral.manova_density(x, frame.m / frame.n, beta)
+        w = frame.m / frame.n
+        with contextlib.suppress(ValueError):  # beta > n/m or k + m > n: no law
+            spectral.manova_density(0.0, w, beta)  # raises outside the law's domain
+            return "manova", lambda x: spectral.manova_density(x, w, beta)
     return "none", lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -289,9 +296,7 @@ def cmd_rate_loss(args):
 def cmd_coder(args):
     frame = build_frame(args)
     k = _require_k(args, frame)
-    fixed = None
-    if args.pattern:
-        fixed = tuple(int(tok) for tok in args.pattern.split(","))
+    fixed = tuple(int(tok) for tok in args.pattern.split(",")) if args.pattern else None
     try:
         report = simulate(frame, k, args.sigma_x2, args.sigma_q2,
                           trials=args.trials, seed=args.seed, pattern=fixed)
@@ -389,6 +394,7 @@ def count(text):
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was, so main reuses one
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="framelab",
@@ -397,12 +403,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(s, trials=2000):
+    def common(s, trials=2000, bins=60):
         add_frame_args(s)
         s.add_argument("--k", type=int, help="number of important samples")
         s.add_argument("--trials", type=count, default=trials)
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--bins", type=count, default=60)
+        if bins:  # histogram subcommands only
+            s.add_argument("--bins", type=count, default=bins)
         s.add_argument("--out", required=True, help="output file")
         s.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -412,8 +419,7 @@ def build_parser():
     s.set_defaults(func=cmd_ie_hist)
 
     s = sub.add_parser("eig-hist", help="Gram eigenvalue histogram with reference density")
-    common(s, trials=200)
-    s.set_defaults(bins=100)
+    common(s, trials=200, bins=100)
     s.set_defaults(func=cmd_eig_hist)
 
     s = sub.add_parser("rate-loss", help="optimal-beta random-transform excess vs SI cost")
@@ -429,14 +435,14 @@ def build_parser():
     s.set_defaults(func=cmd_ie_hist)
 
     s = sub.add_parser("coder", help="Monte Carlo run of the analog coding chain")
-    common(s, trials=10000)
+    common(s, trials=10000, bins=None)
     s.add_argument("--sigma-x2", type=float, default=1.0)
     s.add_argument("--sigma-q2", type=float, default=1.0)
     s.add_argument("--pattern", help="fixed pattern as comma-separated indices")
     s.set_defaults(func=cmd_coder)
 
     s = sub.add_parser("optimize", help="MLIE descent or local-minimum verification")
-    common(s, trials=200)
+    common(s, trials=200, bins=None)
     s.add_argument("--budget", type=count, default=500, help="pattern budget")
     s.add_argument("--iters", type=int, default=200)
     s.add_argument("--step", type=float, default=1e-2)
@@ -450,7 +456,6 @@ def build_parser():
     s.add_argument("family", choices=["bl", "iid", "dss", "spectrum", "paley"])
     add_frame_args(s)
     s.add_argument("--out", help="frame file (default derived from the family)")
-    s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.set_defaults(func=cmd_construct)
     return parser
 

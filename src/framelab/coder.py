@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve
 
 from . import spectral
 from .frames import pattern_indices
@@ -37,24 +37,20 @@ def encoder_matrix(frame, pattern):
     """Pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k), via a Cholesky solve.
 
     ||B_s||_F^2 / m equals the inverse energy eta_s.  Singular vs finite is
-    decided as in `spectral.inverse_energy`: a failed or screened factorization
-    goes to `spectral.gram_eigenvalues`, and the pattern is singular exactly
-    when that gives eta = inf.
+    decided as in `spectral.inverse_energy`: without a `spectral.cholesky`
+    factor, the pattern is singular exactly when `spectral.gram_eigenvalues`
+    gives eta = inf, and a finite one is solved by LU.
     """
     idx = pattern_indices(pattern)
     a_s = frame.submatrix(idx)
     g = a_s @ a_s.conj().T
     g = (g + g.conj().T) / 2.0
-    try:
-        factor = cho_factor(g, lower=True, check_finite=False)
-    except LinAlgError:
-        factor = None
-    if factor is None or spectral.pivots_near_singular(factor[0]):
-        if math.isinf(spectral.gram_eigenvalues(frame, idx).eta):
-            raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
-    if factor is None:
-        return np.linalg.solve(g, a_s).conj().T
-    return cho_solve(factor, a_s, check_finite=False).conj().T
+    low = spectral.cholesky(np.array(g, order="F"))  # a copy: g stays for the LU solve
+    if low is not None:
+        return cho_solve((low, True), a_s, check_finite=False).conj().T
+    if math.isinf(spectral.gram_eigenvalues(frame, idx).eta):
+        raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
+    return np.linalg.solve(g, a_s).conj().T
 
 
 @dataclass
@@ -175,7 +171,7 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     else:
         for t in range(trials):
             rng = np.random.default_rng((seed, t))
-            idx = sample_pattern(n, k, seed=(seed, t, 1)).indices
+            idx = sample_pattern(n, k, seed=(seed, t, 1))
             entry = lookup(idx)
             if entry is None:
                 skipped += 1

@@ -41,7 +41,7 @@ __all__ = [
     "load_frame",
 ]
 
-ROW_NORM_TOL = 1e-12
+SPARK_TOL = 1e-10  # full_spark_check: sigma_min / sigma_max at or below is deficient
 
 
 class FrameError(ValueError):
@@ -49,12 +49,9 @@ class FrameError(ValueError):
 
 
 def pattern_indices(pattern):
-    """The row indices of a pattern, as a tuple of ints, in the given order.
-
-    A pattern is an `ErasurePattern` (anything with an `indices` attribute)
-    or any sequence of ints, a row of a pattern-set array included.
-    """
-    return tuple(np.asarray(getattr(pattern, "indices", pattern), dtype=np.intp).tolist())
+    """The row indices of a pattern (any sequence of ints, a row of a
+    pattern-set array included) as a tuple of ints, in the given order."""
+    return tuple(np.asarray(pattern, dtype=np.intp).tolist())
 
 
 def _is_prime(p):
@@ -205,8 +202,7 @@ def quadratic_difference_set(p) -> DifferenceSet:
 def build_dss(p) -> Frame:
     """DFT frame on the quadratic difference-set spectrum mod p."""
     ds = quadratic_difference_set(p)
-    f = build_dft_spectrum(ds.n, ds.elements, kind="dss")
-    return f
+    return build_dft_spectrum(ds.n, ds.elements, kind="dss")
 
 
 def conference_matrix(n):
@@ -289,9 +285,9 @@ def verify_etf(frame, tol=1e-10) -> ETFReport:
     )
 
 
-def full_spark_check(frame, patterns, tol=1e-10):
+def full_spark_check(frame, patterns):
     """Smallest singular value of A_s for each pattern; a pattern is flagged
-    when it falls below tol times the largest singular value.
+    when it falls below SPARK_TOL times the largest singular value.
 
     Returns a list of (pattern, sigma_min, deficient) tuples.
     """
@@ -299,7 +295,7 @@ def full_spark_check(frame, patterns, tol=1e-10):
     for s in patterns:
         idx = pattern_indices(s)
         sv = np.linalg.svd(frame.submatrix(idx), compute_uv=False)
-        out.append((idx, float(sv[-1]), bool(sv[-1] <= tol * sv[0])))
+        out.append((idx, float(sv[-1]), bool(sv[-1] <= SPARK_TOL * sv[0])))
     return out
 
 

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+GRAD_TOL = 1e-9  # local_search stops once the tangent gradient norm is this small
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 
 
 def project_rows(a):
@@ -123,8 +125,7 @@ class OptReport:
     fresh_mlie: float | None = None  # re-evaluation on unseen patterns, sampled mode only
 
 
-def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200,
-                 grad_tol=1e-9, armijo_c=1e-4, seed=0):
+def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, seed=0):
     """Projected gradient descent on the sampled MLIE from the given frame.
 
     Returns (OptReport, Frame).  The sampled objective never increases between
@@ -148,7 +149,7 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200,
     for _ in range(max_iters):
         g = _tangent(a, mlie_gradient(a, pats))
         gnorm2 = float(np.vdot(g, g).real)
-        if gnorm2 <= grad_tol ** 2:
+        if gnorm2 <= GRAD_TOL ** 2:
             converged = True
             break
         t = step_init
@@ -156,7 +157,7 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200,
         for _ in range(50):
             trial = project_rows(a - t * g)
             rho_t = sampled_mlie(trial, pats)
-            if rho_t <= rho - armijo_c * t * gnorm2:
+            if rho_t <= rho - ARMIJO_C * t * gnorm2:
                 accepted = True
                 break
             t *= 0.5

@@ -1,8 +1,10 @@
 """Erasure patterns and aggregate inverse-energy statistics.
 
-A pattern is the set of k row indices declared important.  Statistics over
-patterns — exhaustive when C(n, k) is small, Monte Carlo otherwise — drive
-the inverse-energy histograms and the mean logarithmic inverse energy
+A pattern is the set of k row indices declared important, held as an
+increasing tuple of ints; a pattern set is the (T, k) int array from
+`pattern_set`.  Statistics over patterns — exhaustive when C(n, k) is
+small, Monte Carlo otherwise — drive the inverse-energy histograms and the
+mean logarithmic inverse energy
 
     rho = average over patterns of (m/n)(1/2) log2(eta_s)   [bits/sample],
 
@@ -23,11 +25,9 @@ import numpy as np
 from . import spectral
 
 __all__ = [
-    "ErasurePattern",
     "PatternGuardError",
     "ENUMERATION_GUARD",
     "sample_pattern",
-    "enumerate_patterns",
     "pattern_set",
     "IEStats",
     "ie_statistics",
@@ -42,41 +42,14 @@ class PatternGuardError(ValueError):
     """Exhaustive enumeration refused: too many patterns."""
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
-    """Strictly increasing indices of the k important samples."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) < 1:
-            raise ValueError("pattern needs k >= 1 indices")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if idx[0] < 0:
-            raise ValueError("negative index")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def k(self):
-        return len(self.indices)
-
-
-def sample_pattern(n, k, seed=0) -> ErasurePattern:
-    """Uniform k-subset of [0, n); deterministic in the seed (which may be an
-    int or a (seed, trial) tuple for per-trial substreams)."""
+def sample_pattern(n, k, seed=0):
+    """Uniform k-subset of [0, n) as an increasing tuple of ints; deterministic
+    in the seed (which may be an int or a (seed, trial) tuple for per-trial
+    substreams)."""
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    return ErasurePattern(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
-
-
-def enumerate_patterns(n, k):
-    """All C(n, k) patterns in lexicographic order; refuses above the guard."""
-    idx, _ = pattern_set(n, k, "exhaustive")
-    for row in idx.tolist():
-        yield ErasurePattern(tuple(row))
+    return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
 
 
 # 'monte_carlo' (ie-hist, mlie) and 'mc' (optimize --verify) spell 'sampled'
@@ -98,7 +71,7 @@ def pattern_set(n, k, mode="auto", trials=2000, seed=0, max_exhaustive=ENUMERATI
     if mode == "auto":
         mode = "exhaustive" if count <= min(max_exhaustive, ENUMERATION_GUARD) else "sampled"
     if mode == "sampled":
-        rows = [sample_pattern(n, k, seed=(seed, t)).indices for t in range(trials)]
+        rows = [sample_pattern(n, k, seed=(seed, t)) for t in range(trials)]
         return np.array(rows, dtype=np.intp).reshape(trials, k), mode
     if count > ENUMERATION_GUARD:
         raise PatternGuardError(

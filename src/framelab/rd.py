@@ -33,6 +33,8 @@ __all__ = [
     "db_from_gamma",
 ]
 
+BETA_TOL = 1e-6  # optimize_beta refines beta* to BETA_TOL / 10
+
 
 def gamma_from_db(sdr_db):
     return 10.0 ** (sdr_db / 10.0)
@@ -115,7 +117,7 @@ def random_transform_excess(p, beta, gamma):
     return excess_rate(p, beta, gamma, 1.0 / (beta - 1.0))
 
 
-def optimize_beta(p, gamma, beta_tol=1e-6):
+def optimize_beta(p, gamma):
     """Minimize random_transform_excess over beta in (1, 1/p].
 
     A dense grid locates the global basin (the objective diverges at the left
@@ -135,7 +137,7 @@ def optimize_beta(p, gamma, beta_tol=1e-6):
     res = _sciopt.minimize_scalar(
         lambda b: random_transform_excess(p, b, gamma),
         bounds=(blo, bhi), method="bounded",
-        options={"xatol": beta_tol / 10.0},
+        options={"xatol": BETA_TOL / 10.0},
     )
     beta_star = float(res.x)
     delta_star = float(res.fun)

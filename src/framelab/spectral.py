@@ -32,7 +32,7 @@ __all__ = [
     "gram_eigenvalues",
     "inverse_energy",
     "eta_from_eigenvalues",
-    "pivots_near_singular",
+    "cholesky",
     "mp_edges",
     "mp_density",
     "mp_eta_limit",
@@ -51,6 +51,8 @@ SINGULARITY_RATIO = 1e-12
 # band-limited frame has a constant column 0 (keys 0-1), so keys 2-3 are the
 # first to tell its rows apart.
 _LEADING_KEYS = 4
+
+L1_SUBDIVISIONS = 16  # trapezoid panels per bin in l1_density_distance
 
 
 def _canonical_submatrix(frame, pattern):
@@ -99,46 +101,52 @@ def pivots_near_singular(low):
     return d.min() ** 2 <= math.sqrt(np.finfo(float).eps) * d.max() ** 2
 
 
+def cholesky(g):
+    """Lower Cholesky factor of the Hermitian matrix g, or None when potrf
+    finds g not positive definite or `pivots_near_singular` trips: then only
+    `gram_eigenvalues` can decide singular vs finite.  potrf reads the lower
+    triangle, leaves the upper one as it was, and factors a Fortran-ordered g
+    (so any 1 x 1 g) in place."""
+    potrf, = get_lapack_funcs(("potrf",), (g,))
+    low, info = potrf(g, lower=1, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"potrf: illegal argument {-info}")
+    if info > 0 or pivots_near_singular(low):
+        return None
+    return low
+
+
 @dataclass(frozen=True)
 class EigenSample:
     """Spectrum of one pattern Gram A_s A_s' (ascending) plus its eta."""
 
     eigenvalues: np.ndarray
-    pattern: tuple
     eta: float
 
 
 def gram_eigenvalues(frame, pattern) -> EigenSample:
     a_s = _canonical_submatrix(frame, pattern)
-    g = a_s @ a_s.conj().T
-    w = np.linalg.eigvalsh(g)
-    return EigenSample(eigenvalues=w, pattern=pattern_indices(pattern),
-                       eta=eta_from_eigenvalues(w, frame.m))
+    w = np.linalg.eigvalsh(a_s @ a_s.conj().T)
+    return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, frame.m))
 
 
 def inverse_energy(frame, pattern):
     """eta_s via a Cholesky factorization of the pattern Gram; inf when singular.
 
-    tr(G^{-1}) = ||L^{-1}||_F^2 for G = L L'.  A failed or suspicious
-    factorization (pivot ratio at the singularity threshold) falls back to the
-    eigenvalue route, which owns the singular/finite decision.
+    tr(G^{-1}) = ||L^{-1}||_F^2 for G = L L'.  When `cholesky` gives no factor
+    the eigenvalue route owns the singular/finite decision.
 
     The C-ordered k x m submatrix is the Fortran-ordered m x k matrix
     B = A_s^T, so BLAS herk/syrk forms B^H B = conj(G) in its lower triangle
-    without a copy; conjugation changes neither the pivots nor the trace.
-    LAPACK potrf and trtri read and write only that triangle.
+    without a copy; conjugation changes neither the pivots nor the trace, and
+    potrf and trtri read and write only that triangle.
     """
     a_s = _canonical_submatrix(frame, pattern)
     gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
-    potrf, trtri = get_lapack_funcs(("potrf", "trtri"), (a_s,))
-    g = gram_k(1.0, a_s.T, trans=2, lower=1)
-    low, info = potrf(g, lower=1, clean=0, overwrite_a=1)
-    if info > 0:  # not positive definite
+    low = cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
+    if low is None:
         return gram_eigenvalues(frame, pattern).eta
-    if info < 0:
-        raise ValueError(f"potrf: illegal argument {-info}")
-    if pivots_near_singular(low):
-        return gram_eigenvalues(frame, pattern).eta
+    trtri, = get_lapack_funcs(("trtri",), (low,))
     inv_low, info = trtri(low, lower=1, overwrite_c=1)
     if info:
         raise ValueError(f"trtri failed with info={info}")
@@ -311,13 +319,13 @@ def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> Eig
                                            trials, seed)
 
 
-def l1_density_distance(hist, density_fn, subdivisions=16):
+def l1_density_distance(hist, density_fn):
     """L1 distance between an empirical histogram and a reference density,
     both seen as piecewise-constant on the histogram bins."""
     edges = hist.bin_edges
     ref = np.empty(len(edges) - 1)
     for i in range(len(ref)):
-        xs = np.linspace(edges[i], edges[i + 1], subdivisions + 1)
+        xs = np.linspace(edges[i], edges[i + 1], L1_SUBDIVISIONS + 1)
         ys = np.asarray(density_fn(xs), dtype=float)
         ref[i] = np.trapezoid(ys, xs) / (edges[i + 1] - edges[i])
     return float(np.sum(np.abs(hist.density - ref) * np.diff(edges)))

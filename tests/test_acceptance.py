@@ -97,7 +97,7 @@ def test_c01_inverse_energy_floor():
             draws += 1
             floor = k / frame.m
             assert eta >= floor - 1e-9, f"{kind}: eta={eta} below k/m={floor}"
-            a_s = frame.submatrix(pat.indices)
+            a_s = frame.submatrix(pat)
             resid = float(np.abs(a_s @ a_s.conj().T - np.eye(k)).max())
             if abs(eta - floor) <= 1e-9:
                 equalities += 1
@@ -212,7 +212,7 @@ def test_c08_coder_model():
     for j in range(3):
         pat = patterns.sample_pattern(31, 12, seed=(8, j))
         rr = coder.simulate(f31, 12, 1.0, 1.0, trials=2000, seed=j, pattern=pat)
-        tally = rr.per_pattern[pat.indices]
+        tally = rr.per_pattern[pat]
         worst_z = max(worst_z, abs(tally.f_energy_mean - tally.eta) / tally.f_energy_se)
     r0 = coder.simulate(f31, 12, 1.0, 0.0, trials=500, seed=3)
     ok = d_err < 0.01 and worst_z < 3.0 and r0.max_interp_error < 1e-9 and r0.alpha == 1.0
@@ -306,7 +306,7 @@ def test_c12_local_minimizer_verification():
     frac_iid = vi.perturbation_verdicts[0][2]
     # gradient oracle: analytic vs central differences, relative error
     a = np.array(frames.build_dss(7).data)
-    pats = [tuple(s.indices) for s in patterns.enumerate_patterns(7, 2)]
+    pats = [tuple(row) for row in patterns.pattern_set(7, 2, "exhaustive")[0].tolist()]
     g = optimize.mlie_gradient(a, pats)
     h = 1e-6
     fd = np.zeros_like(g)

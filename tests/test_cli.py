@@ -117,6 +117,33 @@ def test_counts_below_one_exit_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_eig_hist_outside_manova_domain_has_no_reference(tmp_path):
+    # m/k = 2 exceeds n/m = 4/3 (and k + m > n): no MANOVA law, zero density
+    out = tmp_path / "e.csv"
+    rc = cli.main(["eig-hist", "--frame", "spectrum", "--n", "8",
+                   "--spectrum", "0,1,2,3,4,5", "--k", "3", "--trials", "5",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    for path in (out, tmp_path / "e_zoom.csv"):
+        assert _header_value(path, "reference") == "none"
+        rows = [ln.strip().split(",") for ln in open(path) if not ln.startswith("#")][1:]
+        assert len(rows) == 100 and all(r[2] == "0.0" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coder", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "3", "--bins", "7"],
+    ["optimize", "--frame", "dss", "--p", "7", "--k", "2", "--bins", "7"],
+    ["construct", "dss", "--p", "7", "--format", "json"],
+], ids=["coder-bins", "optimize-bins", "construct-format"])
+def test_options_nothing_reads_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eig_hist_iid_uses_mp_reference(tmp_path):
     out = tmp_path / "mp.csv"
     rc = cli.main(["eig-hist", "--frame", "iid", "--n", "40", "--m", "20",
@@ -281,12 +308,13 @@ _FRAMES = [
     ["--frame", "paley", "--n", "14"],
 ]
 _COMMON = {"--k": ["1", "2", "3", "4"], "--trials": ["1", "3"], "--seed": ["0", "9"],
-           "--bins": ["1", "4"], "--format": ["csv", "json"]}
+           "--format": ["csv", "json"]}
+_HIST = {**_COMMON, "--bins": ["1", "4"]}
 _MODE = {"--mode": ["auto", "exhaustive", "monte_carlo"]}
 _OPTIONS = {
-    "ie-hist": {**_COMMON, **_MODE},
-    "mlie": {**_COMMON, **_MODE},
-    "eig-hist": _COMMON,
+    "ie-hist": {**_HIST, **_MODE},
+    "mlie": {**_HIST, **_MODE},
+    "eig-hist": _HIST,
     "coder": {**_COMMON, "--sigma-x2": ["1", "2"], "--sigma-q2": ["0", "0.5"],
               "--pattern": ["0,1", "2,0,1", "0,4"]},
     "optimize": {**_COMMON, "--budget": ["5", "40"], "--iters": ["0", "2"],

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab import coder, frames, patterns, spectral
+from framelab import coder, frames, spectral
 
 
 def test_encoder_matrix_unitary_is_adjoint():
@@ -32,13 +32,6 @@ def test_encoder_matrix_energy_is_eta():
         b = coder.encoder_matrix(f, pat)
         eta = np.vdot(b, b).real / f.m
         assert abs(eta - spectral.inverse_energy(f, pat)) < 1e-10
-
-
-def test_encoder_matrix_accepts_pattern_objects():
-    f = frames.build_dss(7)
-    pat = patterns.ErasurePattern((1, 5))
-    assert np.allclose(coder.encoder_matrix(f, pat),
-                       coder.encoder_matrix(f, (1, 5)))
 
 
 def test_encoder_matrix_singular():
@@ -184,12 +177,9 @@ def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
 
 
 def test_encoder_matrix_failed_cholesky_falls_back(monkeypatch):
-    def fail(*args, **kwargs):
-        raise coder.LinAlgError("not positive definite")
-
     f = frames.build_dss(11)
     want = coder.encoder_matrix(f, (0, 3, 7))
-    monkeypatch.setattr(coder, "cho_factor", fail)
+    monkeypatch.setattr(spectral, "cholesky", lambda g: None)
     assert np.allclose(coder.encoder_matrix(f, (0, 3, 7)), want, atol=1e-12)
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(frames.build_dft_spectrum(8, [0, 2, 4, 6]), (0, 4))

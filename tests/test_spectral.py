@@ -217,6 +217,25 @@ def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     assert eta == spectral.gram_eigenvalues(f, (0, 1)).eta
 
 
+@pytest.mark.parametrize("theta", [0.0, 5e-6, 0.3])
+def test_cholesky_factor_or_none(theta):
+    # theta = 0: identical rows, potrf refuses; 5e-6: potrf factors, but
+    # pivot^2 = 2.5e-11 trips the screen; 0.3: the factor of G
+    a = _two_rows_at_angle(theta).data[:2]
+    g = a @ a.T
+    low = spectral.cholesky(np.array(g, order="F"))
+    if theta == 0.0:
+        assert low is None
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g)
+    elif theta == 5e-6:
+        assert low is None
+        assert np.linalg.cholesky(g)[1, 1] ** 2 <= 2.6e-11
+    else:
+        low = np.tril(low)
+        assert np.allclose(low @ low.T, g, rtol=0.0, atol=1e-15)
+
+
 @given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_eta_floor_property(seed, m, complex_field):
