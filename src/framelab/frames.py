@@ -77,16 +77,24 @@ class Frame:
     seed: int | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.data)
+        a = np.array(self.data)  # private copy, frozen below
         if a.ndim != 2:
             raise FrameError("frame data must be a 2-d matrix")
         n, m = a.shape
         if not (n >= m >= 1):
             raise FrameError(f"need n >= m >= 1, got n={n}, m={m}")
-        if not np.isfinite(a).all():
+        # complex128 data is checked as the float64 view of its (re, im)
+        # pairs, so real and complex frames share one path.  Any other dtype
+        # keeps numpy's norm: float32 and complex64 data are still judged in
+        # their own precision, as the unit-row gate always judged them.
+        x = np.ascontiguousarray(a).view(np.float64) if a.dtype == np.complex128 else a
+        if not np.isfinite(x).all():
             raise FrameError("frame data must be finite (no nan or inf)")
         if self.kind != "random_iid":
-            norms = np.linalg.norm(a, axis=1)
+            if x.dtype == np.float64:
+                norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+            else:
+                norms = np.linalg.norm(x, axis=1)
             bad = np.abs(norms - 1.0).max()
             if bad > 1e-9:  # loose gate; constructions themselves hit 1e-12
                 raise FrameError(f"rows must be unit norm (max deviation {bad:.2e})")
@@ -95,7 +103,6 @@ class Frame:
             if len(set(spec)) != m or any(not 0 <= f < n for f in spec):
                 raise FrameError("spectrum must be m distinct indices in [0, n)")
             object.__setattr__(self, "spectrum", spec)
-        a = np.array(a)  # private copy, then freeze
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -181,10 +188,15 @@ class DifferenceSet:
 
     def difference_counts(self):
         """counts[d] = number of ordered pairs of distinct elements with
-        difference d mod n; counts[0] counts the m trivial self-pairs."""
-        e = np.array(self.elements)
-        d = (e[:, None] - e[None, :]) % self.n
-        return np.bincount(d.ravel(), minlength=self.n)
+        difference d mod n; counts[0] counts the m trivial self-pairs.
+
+        The counts are the cyclic autocorrelation of the elements' indicator
+        (multiplicities, if an element repeats), taken by FFT; every count is
+        at most m^2, far inside the rounding that np.rint removes."""
+        x = np.bincount(np.array(self.elements) % self.n, minlength=self.n)
+        spectrum = np.fft.rfft(x)
+        corr = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, self.n)
+        return np.rint(corr).astype(np.int64)
 
 
 def quadratic_difference_set(p) -> DifferenceSet:

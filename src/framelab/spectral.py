@@ -9,6 +9,12 @@ the amplification factor of the least-squares encoder.  eta_s >= k/m always,
 with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
+The Cholesky kernel (`inverse_energy` and `cholesky`) calls BLAS and LAPACK
+only through `scipy.linalg.get_blas_funcs`/`get_lapack_funcs`.  numpy and
+scipy may load separate BLAS builds, each with its own thread pool, and
+handing one pattern's work from one pool to the other costs more than the
+arithmetic; `gram_eigenvalues`, the fallback route, stays on numpy.
+
 The two reference eigenvalue laws for Gram matrices A_s A_s' of random
 patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
 and difference-set frames), together with their 1/x moments, which give the
@@ -150,8 +156,9 @@ def inverse_energy(frame, pattern):
     inv_low, info = trtri(low, lower=1, overwrite_c=1)
     if info:
         raise ValueError(f"trtri failed with info={info}")
-    inv_low = np.tril(inv_low)
-    return float(np.real(np.vdot(inv_low, inv_low))) / frame.m
+    x = np.tril(inv_low).ravel()
+    dot = get_blas_funcs("dotc" if np.iscomplexobj(x) else "dot", (x,))
+    return float(dot(x, x).real) / frame.m
 
 
 # --- Marchenko--Pastur (i.i.d. frames), aspect ratio 1/beta ------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,6 +84,44 @@ def test_quadratic_difference_set_p947():
     ds = frames.quadratic_difference_set(947)
     assert (ds.m, ds.lam) == (473, 236)
     assert ds.lam * (ds.n - 1) == ds.m * (ds.m - 1)
+
+
+def _pairwise_counts(elements, n):
+    e = np.array(elements)
+    return np.bincount(((e[:, None] - e[None, :]) % n).ravel(), minlength=n)
+
+
+def test_difference_counts_match_pairwise_for_every_qr_prime():
+    primes = [p for p in range(3, 2000, 4) if frames._is_prime(p)]
+    assert len(primes) == 155 and primes[-1] == 1999
+    for p in primes:
+        ds = frames.quadratic_difference_set(p)
+        counts = ds.difference_counts()
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _pairwise_counts(ds.elements, p))
+
+
+@pytest.mark.parametrize("n, elements", [
+    (7, (0, 1, 2)),
+    (13, (1, 3, 4, 9, 10, 12)),  # the quadratic residues mod 13 = 1 (mod 4)
+    (13, (0, 1, 2, 3)),
+    (10, (0, 0, 3, 17, -4)),  # repeats and residues outside [0, n)
+])
+def test_difference_counts_match_pairwise_off_difference_sets(n, elements):
+    # not difference sets, so no DifferenceSet holds them; the method reads
+    # only n and elements
+    counts = frames.DifferenceSet.difference_counts(SimpleNamespace(n=n, elements=elements))
+    assert np.array_equal(counts, _pairwise_counts(elements, n))
+
+
+@pytest.mark.parametrize("n, m, lam, elements", [
+    (7, 3, 1, (0, 1, 2)),
+    (13, 4, 1, (0, 1, 2, 3)),
+])
+def test_difference_set_rejects_unequal_counts(n, m, lam, elements):
+    assert lam * (n - 1) == m * (m - 1)  # the lambda identity holds
+    with pytest.raises(frames.FrameError, match="not a difference set"):
+        frames.DifferenceSet(n=n, m=m, lam=lam, elements=elements)
 
 
 def test_quadratic_difference_set_rejects_bad_p():
@@ -180,17 +219,72 @@ def test_full_spark_detects_aliasing():
 def test_frame_rejects_non_unit_rows():
     with pytest.raises(frames.FrameError, match="unit norm"):
         frames.Frame(np.ones((3, 2)))
+    a = frames.build_dss(7).data.copy()
+    a[4] *= 2.0
+    a[5] *= 1.5
+    with pytest.raises(frames.FrameError,
+                       match=re.escape("rows must be unit norm (max deviation 1.00e+00)")):
+        frames.Frame(a)
 
 
 @pytest.mark.parametrize("kind", ["custom", "random_iid", "dss"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_frame_rejects_non_finite_data(kind, bad):
+    message = re.escape("frame data must be finite (no nan or inf)")
     a = frames.build_random_iid(6, 3, seed=0).data.copy()
+    b = a.astype(complex)
+    b[4, 0] = complex(b[4, 0].real, bad)  # only the imaginary part
     a[2, 1] = bad
-    with pytest.raises(frames.FrameError, match="finite"):
+    with pytest.raises(frames.FrameError, match=message):
         frames.Frame(a, kind=kind)
-    with pytest.raises(frames.FrameError, match="finite"):
+    with pytest.raises(frames.FrameError, match=message):
         frames.Frame(a.astype(complex), kind=kind)
+    with pytest.raises(frames.FrameError, match=message):
+        frames.Frame(b, kind=kind)
+
+
+def _row_check_verdict(a):
+    """What the unit-row gate has always said: numpy's row norm, in the
+    data's own precision (float64 for integer data)."""
+    bad = np.abs(np.linalg.norm(a, axis=1) - 1.0).max()
+    return f"rows must be unit norm (max deviation {bad:.2e})" if bad > 1e-9 else None
+
+
+def _frame_verdict(a):
+    try:
+        f = frames.Frame(a)
+    except frames.FrameError as e:
+        return str(e)
+    assert f.data.dtype == a.dtype and np.array_equal(f.data, a)
+    return None
+
+
+@pytest.mark.parametrize("a, accepted", [
+    (np.array([[1, 0, 0], [0, -1, 0], [0, 0, 1], [1, 0, 0]]), True),
+    (np.eye(3, dtype=np.int8) * 2, False),
+    (np.array([[2 ** 32, 1], [1, 0], [0, 1]]), False),  # squares wrap in int64
+    (frames.build_bandlimited_dft(8, 4).data.astype(np.complex64), True),
+    (frames.build_bandlimited_dft(31, 24).data.astype(np.complex64), True),
+    (frames.build_dss(7).data.astype(np.complex64), False),
+    (frames.build_paley_etf(38).data.astype(np.float32), False),
+    (np.asfortranarray(frames.build_dss(11).data), True),
+])
+def test_frame_row_check_other_dtypes(a, accepted):
+    assert (_row_check_verdict(a) is None) == accepted
+    assert _frame_verdict(a) == _row_check_verdict(a)
+
+
+def test_frame_row_check_complex64_family():
+    # float32 rounding decides these verdicts (some bl frames land on
+    # exactly 1.0); the gate must keep deciding them as numpy's norm does
+    verdicts = set()
+    for n in range(2, 40):
+        for m in range(1, n + 1, 3):
+            a = frames.build_bandlimited_dft(n, m).data.astype(np.complex64)
+            expected = _row_check_verdict(a)
+            verdicts.add(expected is None)
+            assert _frame_verdict(a) == expected
+    assert verdicts == {True, False}
 
 
 def test_dft_entries_are_roots_of_unity():

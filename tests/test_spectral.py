@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from framelab import frames, spectral
 
@@ -167,6 +169,58 @@ def test_inverse_energy_matches_eigen_route_dss947():
         assert abs(a - b) <= 1e-12 * b
 
 
+def _vdot_eta(frame, pattern):
+    """eta from the kernel's own canonical submatrix, Gram and factor, with
+    the last step as numpy's vdot: the formula the BLAS dot must reproduce."""
+    a_s = spectral._canonical_submatrix(frame, pattern)
+    gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
+    low = spectral.cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
+    assert low is not None  # a pattern the eigen route would own proves nothing
+    trtri, = get_lapack_funcs(("trtri",), (low,))
+    inv_low, info = trtri(low, lower=1, overwrite_c=1)
+    assert info == 0
+    low_inv = np.tril(inv_low)
+    return float(np.real(np.vdot(low_inv, low_inv))) / frame.m
+
+
+def _vdot_frames():
+    spectrum = np.random.default_rng(12).choice(101, 40, replace=False)
+    return {
+        "bandlimited_31x24": frames.build_bandlimited_dft(31, 24),
+        "dss127": frames.build_dss(127),
+        "iid_real": frames.build_random_iid(60, 30, seed=13),
+        "iid_complex60": frames.build_random_iid(60, 30, field="complex", seed=13),
+        "paley38": frames.build_paley_etf(38),
+        "random_spectrum": frames.build_dft_spectrum(101, spectrum),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_vdot_frames()))
+def test_inverse_energy_bitwise_equals_vdot_formula(label):
+    f = _vdot_frames()[label]
+    rng = np.random.default_rng(14)
+    for t in range(25):
+        k = 1 + t % (f.m // 2)
+        s = tuple(sorted(rng.choice(f.n, k, replace=False).tolist()))
+        assert spectral.inverse_energy(f, s) == _vdot_eta(f, s)
+
+
+def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
+    f = frames.build_dss(947)
+    for t in range(3):
+        s = tuple(sorted(np.random.default_rng((15, t)).choice(947, 378, replace=False)
+                         .tolist()))
+        assert spectral.inverse_energy(f, s) == _vdot_eta(f, s)
+
+
+def test_inverse_energy_calls_blas_only_through_scipy():
+    # numpy's BLAS is a second library with its own thread pool; handing a
+    # pattern's work to it costs more than the arithmetic
+    source = inspect.getsource(spectral.inverse_energy)
+    for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
+        assert token not in source
+
+
 def _count_eigen_fallbacks(monkeypatch):
     calls = []
     route = spectral.gram_eigenvalues
@@ -245,8 +299,35 @@ def test_eta_floor_property(seed, m, complex_field):
     k = int(rng.integers(1, m + 1))
     s = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
     eta = spectral.inverse_energy(f, s)
+    assert not math.isnan(eta)
     if math.isfinite(eta):
         assert eta >= k / m - 1e-9
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat):
+    # repeat: the pattern holds a row twice over (a repeated frame row);
+    # otherwise the frame's rows span only r < m dimensions and the pattern
+    # takes more than r of them.  Either way the Gram is singular.
+    rng = np.random.default_rng(seed)
+    if repeat:
+        base = random_unit_frame(m + 2, m, seed, complex_field).data
+        f = frames.Frame(np.vstack([base, base[:1]]))  # row m + 2 is row 0
+        others = rng.choice(np.arange(1, m + 2), int(rng.integers(0, m + 1)), replace=False)
+        s = tuple(sorted([0, m + 2] + others.tolist()))
+    else:
+        r = int(rng.integers(1, m))
+        b = rng.standard_normal((m + 4, r))
+        c = rng.standard_normal((r, m))
+        if complex_field:
+            b = b + 1j * rng.standard_normal((m + 4, r))
+        f = frames.Frame(_unit_rows(b @ c))
+        k = int(rng.integers(r + 1, m + 5))
+        s = tuple(sorted(rng.choice(m + 4, k, replace=False).tolist()))
+    eta = spectral.inverse_energy(f, s)
+    assert not math.isnan(eta)
+    assert eta == math.inf or eta >= len(s) / m - 1e-9
 
 
 @given(st.integers(0, 10 ** 6))
