@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isqrt
+from math import isinf, isqrt
 
 import numpy as np
 
@@ -40,9 +40,6 @@ __all__ = [
     "save_frame",
     "load_frame",
 ]
-
-SPARK_TOL = 1e-10  # full_spark_check: sigma_min / sigma_max at or below is deficient
-
 
 class FrameError(ValueError):
     """Invalid frame construction parameters."""
@@ -299,15 +296,18 @@ def verify_etf(frame, tol=1e-10) -> ETFReport:
 
 def full_spark_check(frame, patterns):
     """Smallest singular value of A_s for each pattern; a pattern is flagged
-    when it falls below SPARK_TOL times the largest singular value.
+    exactly when `spectral.eta_from_eigenvalues` calls the squared singular
+    values singular, the policy under which `inverse_energy` returns inf.
 
     Returns a list of (pattern, sigma_min, deficient) tuples.
     """
+    from .spectral import eta_from_eigenvalues  # deferred: spectral imports frames
+
     out = []
     for s in patterns:
         idx = pattern_indices(s)
         sv = np.linalg.svd(frame.submatrix(idx), compute_uv=False)
-        out.append((idx, float(sv[-1]), bool(sv[-1] <= SPARK_TOL * sv[0])))
+        out.append((idx, float(sv[-1]), isinf(eta_from_eigenvalues(sv ** 2, 1))))
     return out
 
 

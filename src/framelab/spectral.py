@@ -17,8 +17,9 @@ arithmetic; `gram_eigenvalues`, the fallback route, stays on numpy.
 
 The two reference eigenvalue laws for Gram matrices A_s A_s' of random
 patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
-and difference-set frames), together with their 1/x moments, which give the
-limiting eta.
+and difference-set frames).  Their 1/x moments, scaled by 1/beta = k/m, give
+the limiting eta in closed form: 1/(beta - 1) for Marchenko--Pastur and
+(beta - w) / (beta (beta - 1)) for MANOVA with w = m/n, both inf at beta <= 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .frames import pattern_indices
@@ -199,12 +199,10 @@ def manova_edges(m_over_n, beta):
     return (r - t) ** 2, (r + t) ** 2
 
 
-def _check_manova_params(m_over_n, beta, allow_sub_unit_beta=False):
+def _check_manova_params(m_over_n, beta):
     w = m_over_n
     if not 0.0 < w < 1.0:
         raise ValueError("need 0 < m/n < 1")
-    if beta < 1.0 and not allow_sub_unit_beta:
-        raise ValueError("beta >= 1 required")
     if beta > 1.0 / w:
         raise ValueError("beta cannot exceed n/m (k >= 1 rows of n)")
     # k + m > n forces rank overlap between the selected rows and the frame's
@@ -219,6 +217,8 @@ def manova_density(x, m_over_n, beta):
     """Limiting eigenvalue density of A_s A_s' for random row subsets (ratio
     1/beta) of random column subsets (ratio m/n) of a scaled unitary DFT."""
     _check_manova_params(m_over_n, beta)
+    if beta < 1.0:
+        raise ValueError("beta >= 1 required")
     lo, hi = manova_edges(m_over_n, beta)
     w = m_over_n
     x = np.asarray(x, dtype=float)
@@ -230,35 +230,18 @@ def manova_density(x, m_over_n, beta):
 
 
 def manova_eta_limit(beta, m_over_n=0.5):
-    """Limiting eta for DFT-spectrum frames: the 1/x moment of the MANOVA law
-    scaled by 1/beta, by adaptive quadrature (relative tolerance 1e-8).
+    """Limiting eta for DFT-spectrum frames, w = m/n: the 1/x moment of the
+    MANOVA law scaled by 1/beta, in closed form (beta - w) / (beta (beta - 1)).
 
+    It lies between the floor 1/beta = k/m and the i.i.d. limit 1/(beta - 1).
     At beta <= 1 the support reaches zero and the moment diverges (inf).
-    At m/n = 1/2 the integrand reduces to
-    sqrt(c^2 - (x-1)^2) / (pi x^2 (2-x)),  c = sqrt((1/beta)(2 - 1/beta)),
-    on [1-c, 1+c]; the general ratio goes through the density directly.
+    ValueError for w outside (0, 1), for beta > 1/w and for the point-mass
+    range 1 <= beta < w / (1 - w), where k + m > n.
     """
-    _check_manova_params(m_over_n, beta, allow_sub_unit_beta=True)
+    _check_manova_params(m_over_n, beta)
     if beta <= 1.0:
         return math.inf
-    lo, hi = manova_edges(m_over_n, beta)
-    if m_over_n == 0.5:
-        c = math.sqrt((1.0 / beta) * (2.0 - 1.0 / beta))
-
-        def integrand(x):
-            return math.sqrt(max(c * c - (x - 1.0) ** 2, 0.0)) / (math.pi * x * x * (2.0 - x))
-    else:
-        w = m_over_n
-
-        def integrand(x):
-            # manova_density(x) / (beta x), in the same order of operations
-            if not lo < x < hi:
-                return 0.0
-            return (beta * math.sqrt((x - lo) * (hi - x))
-                    / (2.0 * math.pi * x * (1.0 - w * x)) / (beta * x))
-
-    val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
-    return val
+    return (beta - m_over_n) / (beta * (beta - 1.0))
 
 
 # --- empirical spectra -------------------------------------------------------

@@ -26,6 +26,12 @@ def _header_value(path, key):
     raise KeyError(key)
 
 
+def _rows(path):
+    """The lines of an output file below its '#' header."""
+    with open(path) as fh:
+        return [ln for ln in fh if not ln.startswith("#")]
+
+
 def test_construct_dss_roundtrip(tmp_path, capsys):
     out = tmp_path / "dss7.frame"
     rc = cli.main(["construct", "dss", "--p", "7", "--out", str(out)])
@@ -65,6 +71,18 @@ def test_ie_hist_square_frame_has_no_reference_limit(tmp_path):
         _header_value(out, "manova_limit")
 
 
+def test_ie_hist_manova_limit_near_unit_beta(tmp_path):
+    # beta = 473/472: the limit (beta - w)/(beta (beta - 1)) is large but finite,
+    # and a quoted limit may never fall below the floor k/m
+    out = tmp_path / "ie.csv"
+    rc = cli.main(["ie-hist", "--frame", "dss", "--p", "947", "--k", "472",
+                   "--mode", "monte_carlo", "--trials", "1", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    limit = float(_header_value(out, "manova_limit"))
+    assert limit >= float(_header_value(out, "eta_floor"))
+    assert limit == pytest.approx(236.74762407601782, rel=1e-12)
+
+
 def test_ie_hist_requires_k(tmp_path):
     rc = cli.main(["ie-hist", "--frame", "dss", "--p", "7",
                    "--out", str(tmp_path / "x.csv")])
@@ -80,7 +98,7 @@ def test_eig_hist_writes_zoom_and_reference(tmp_path):
     zoom = tmp_path / "eig_zoom.csv"
     assert zoom.exists()
     assert _header_value(zoom, "value_hi") == "0.2"
-    rows = [ln for ln in open(out) if not ln.startswith("#")]
+    rows = _rows(out)
     assert rows[0].strip() == "bin_center,empirical_density,reference_density"
     assert len(rows) == 1 + 100  # default bins
 
@@ -93,8 +111,7 @@ def test_eig_hist_zoom_bins_the_same_sweep(tmp_path):
     f = frames.build_random_iid(40, 20)
     zoom = spectral.eigen_histogram(f, 10, trials=7, bins=100, seed=4,
                                     value_range=(0.0, 0.2))
-    rows = [ln.strip().split(",") for ln in open(tmp_path / "eig_zoom.csv")
-            if not ln.startswith("#")][1:]
+    rows = [ln.strip().split(",") for ln in _rows(tmp_path / "eig_zoom.csv")][1:]
     assert [float(r[1]) for r in rows] == zoom.density.tolist()
     for key in ("min_eigenvalue", "max_eigenvalue"):
         assert _header_value(out, key) == _header_value(tmp_path / "eig_zoom.csv", key)
@@ -126,7 +143,7 @@ def test_eig_hist_outside_manova_domain_has_no_reference(tmp_path):
     assert rc == cli.EXIT_OK
     for path in (out, tmp_path / "e_zoom.csv"):
         assert _header_value(path, "reference") == "none"
-        rows = [ln.strip().split(",") for ln in open(path) if not ln.startswith("#")][1:]
+        rows = [ln.strip().split(",") for ln in _rows(path)][1:]
         assert len(rows) == 100 and all(r[2] == "0.0" for r in rows)
 
 
@@ -160,7 +177,7 @@ def test_rate_loss_header_and_rows(tmp_path):
     assert _header_value(out, "si_bits") == "1.0"
     assert _header_value(out, "crossover_count") == "0"
     assert _header_value(out, "crossover_db") == "none"
-    rows = [ln for ln in open(out) if not ln.startswith("#")]
+    rows = _rows(out)
     assert len(rows) == 1 + 3  # header row + 0, 5, 10 dB
 
 
@@ -184,8 +201,7 @@ def test_coder_runs_and_reports(tmp_path):
     rc = cli.main(["coder", "--frame", "bl", "--n", "16", "--m", "16",
                    "--k", "16", "--trials", "200", "--out", str(out)])
     assert rc == 0
-    rows = dict(ln.strip().split(",") for ln in open(out)
-                if not ln.startswith("#") and "," in ln)
+    rows = dict(ln.strip().split(",") for ln in _rows(out) if "," in ln)
     assert rows["model_distortion"] == "0.5"
     assert float(rows["empirical_distortion"]) == pytest.approx(0.5, abs=0.1)
 
@@ -218,7 +234,7 @@ def test_optimize_descends_and_saves_frame(tmp_path):
     assert final <= initial
     loaded = frames.load_frame(str(saved))
     assert loaded.n == 13 and loaded.m == 7
-    rows = [ln for ln in open(out) if not ln.startswith("#")]
+    rows = _rows(out)
     assert rows[1].startswith("0,")  # trajectory starts at iteration 0
 
 
@@ -228,7 +244,7 @@ def test_optimize_verify_mode(tmp_path):
                    "--verify", "--epsilons", "1e-3", "--trials", "20",
                    "--out", str(out)])
     assert rc == 0
-    rows = [ln for ln in open(out) if not ln.startswith("#")]
+    rows = _rows(out)
     assert rows[0].strip() == "epsilon,trials,fraction_decreased,max_decrease_bits"
     eps, trials, frac, _ = rows[1].strip().split(",")
     assert trials == "20" and float(frac) == 0.0
@@ -239,7 +255,7 @@ def test_json_format(tmp_path):
     rc = cli.main(["rate-loss", "--p", "0.2", "--sdr-grid", "10:20:10",
                    "--format", "json", "--out", str(out)])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = json.loads(out.read_text())
     assert payload["subcommand"] == "rate-loss"
     assert payload["columns"][0] == "sdr_db"
     assert len(payload["rows"]) == 2

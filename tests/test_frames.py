@@ -1,11 +1,12 @@
 import json
+import math
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from framelab import frames
+from framelab import frames, spectral
 
 
 def test_bandlimited_single_column_is_constant():
@@ -214,6 +215,18 @@ def test_full_spark_detects_aliasing():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])
     [(_, smin, flagged)] = frames.full_spark_check(f, [(0, 2, 4, 6)])
     assert flagged and smin < 1e-12
+
+
+def test_full_spark_flags_what_inverse_energy_calls_singular():
+    # sigma_min is about 7e-9: above a 1e-10 sigma ratio, but its square is
+    # under the 1e-12 eigenvalue ratio at which inverse_energy gives inf
+    e = 1e-8
+    c = math.sqrt(1.0 - e * e) / math.sqrt(2.0)
+    f = frames.Frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [c, c, e]]))
+    [(_, smin, flagged)] = frames.full_spark_check(f, [(0, 1, 2)])
+    assert 1e-9 < smin < 1e-8
+    assert flagged
+    assert spectral.inverse_energy(f, (0, 1, 2)) == math.inf
 
 
 def test_frame_rejects_non_unit_rows():

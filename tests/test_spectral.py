@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from framelab import frames, spectral
+from framelab import coder, frames, optimize, spectral
 
-# frozen quadrature oracles for the limiting inverse energy (see also the
-# closed-form cross-check below)
+# frozen values of the limiting inverse energy, from a quadrature of the MANOVA
+# law (see also the closed-form cross-check below)
 MANOVA_LIMIT_HALF_125 = 2.4
 MANOVA_LIMIT_947 = 2.3907297282276407  # beta = 473/378, m/n = 473/947
 
@@ -328,6 +328,10 @@ def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat
     eta = spectral.inverse_energy(f, s)
     assert not math.isnan(eta)
     assert eta == math.inf or eta >= len(s) / m - 1e-9
+    # the other consumers of the singularity policy see the same patterns
+    assert optimize.sampled_mlie(f, [s]) == math.inf
+    with pytest.raises(coder.SingularPatternError):
+        coder.encoder_matrix(f, s)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -394,15 +398,33 @@ def test_manova_eta_limit_frozen_values():
 
 
 def test_manova_eta_limit_closed_form_cross_check():
-    # the inverse moment of the MANOVA law collapses to (beta - w)/(beta (beta-1))
+    # the closed form against the 1/x moment of the density, scaled by 1/beta
     for beta, w in [(1.25, 0.5), (4 / 3, 0.5), (2.0, 0.25), (1.6, 0.4), (473 / 378, 473 / 947)]:
-        closed = (beta - w) / (beta * (beta - 1.0))
-        assert abs(spectral.manova_eta_limit(beta, w) - closed) < 1e-8
+        lo, hi = spectral.manova_edges(w, beta)
+        val, _ = integrate.quad(lambda x: spectral.manova_density(x, w, beta) / (beta * x),
+                                lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
+        assert abs(spectral.manova_eta_limit(beta, w) - val) < 1e-8
 
 
-def test_manova_eta_limit_between_floor_and_iid():
-    v = spectral.manova_eta_limit(1.25)
-    assert 0.8 < v < 4.0
+@st.composite
+def _manova_domain(draw):
+    """Valid (beta, w) for the continuous law: 1 < beta <= 1/w and
+    beta >= w/(1 - w).  The gap to the low end of the beta range is drawn on a
+    log scale, down to 1e-5 of the range."""
+    w = draw(st.floats(0.01, 0.6))
+    lo = max(1.0, w / (1.0 - w))
+    beta = lo + (1.0 / w - lo) * 10.0 ** draw(st.floats(-5.0, 0.0))
+    return min(beta, 1.0 / w), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_manova_domain())
+@example((473 / 472, 473 / 947))  # k = m - 1 rows of dss947
+def test_manova_eta_limit_between_floor_and_iid(point):
+    beta, w = point
+    v = spectral.manova_eta_limit(beta, w)
+    assert math.isfinite(v)
+    assert 1.0 / beta <= v <= spectral.mp_eta_limit(beta)
 
 
 def test_manova_eta_limit_large_beta():
