@@ -250,8 +250,8 @@ def parse_grid(spec):
         lo, hi, step = (float(tok) for tok in spec.split(":"))
     except ValueError:
         raise ConfigError(f"--sdr-grid wants lo:hi:step, got {spec!r}") from None
-    if step <= 0 or hi < lo:
-        raise ConfigError("--sdr-grid needs step > 0 and hi >= lo")
+    if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):  # nan fails too
+        raise ConfigError("--sdr-grid needs finite lo <= hi and a finite step > 0")
     out = []
     v = lo
     while v <= hi + 1e-9:

@@ -9,6 +9,10 @@ otherwise a common random sample), so descent acts on a deterministic smooth
 function with poles at rank drops.  The constraint manifold is "every row on
 the unit sphere"; steps are projected-gradient with Armijo backtracking, and
 local-minimum verification perturbs rows along random tangent directions.
+Each eta_s and the gradient core G^{-2} A_s come from `spectral.factored`,
+the factor `spectral.inverse_energy` uses, so rho equals the `mlie` of the
+same pattern set bit for bit and a pattern is singular exactly when
+`inverse_energy` gives inf.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, get_blas_funcs, lu_factor, lu_solve
 
-from .frames import Frame, pattern_indices
+from .frames import Frame
 from .patterns import pattern_set
 from . import spectral
 
@@ -55,33 +59,16 @@ def _as_array(frame_or_array):
     return np.asarray(frame_or_array)
 
 
-def _eta_and_gram_inv_sq(a_sub):
-    """eta of a submatrix plus (A_s A_s')^{-2} A_s, the gradient core."""
-    g = a_sub @ a_sub.conj().T
-    g = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(g)
-    eta = spectral.eta_from_eigenvalues(w, a_sub.shape[1])
-    if math.isinf(eta):
-        return eta, None
-    inv_sq = (v / (w * w)) @ v.conj().T
-    return eta, inv_sq @ a_sub
-
-
 def sampled_mlie(frame_or_array, patterns):
-    """rho over an explicit pattern list; inf if any pattern is singular."""
+    """rho over an explicit pattern list; inf if any pattern is singular.
+    Summed as `patterns.ie_statistics` sums, so the same set gives the same bits."""
     a = _as_array(frame_or_array)
     n, m = a.shape
+    etas = [eta for *_, eta in spectral.factored(a, patterns)]
+    if math.inf in etas:
+        return math.inf
     scale = 0.5 * (m / n)
-    total = 0.0
-    for s in patterns:
-        rows = list(pattern_indices(s))
-        g = a[rows] @ a[rows].conj().T
-        w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-        eta = spectral.eta_from_eigenvalues(w, m)
-        if math.isinf(eta):
-            return math.inf
-        total += scale * math.log2(eta)
-    return total / len(patterns)
+    return math.fsum(scale * math.log2(v) for v in etas) / len(etas)
 
 
 def mlie_gradient(frame_or_array, patterns):
@@ -95,11 +82,18 @@ def mlie_gradient(frame_or_array, patterns):
     n, m = a.shape
     scale = 0.5 * (m / n) / len(patterns)
     grad = np.zeros_like(a)
-    for s in patterns:
-        rows = list(pattern_indices(s))
-        eta, core = _eta_and_gram_inv_sq(a[rows])
-        if core is None:
-            raise LinAlgError(f"singular pattern {tuple(rows)} in gradient")
+    for rows, a_s, inv_low, eta in spectral.factored(a, patterns):
+        if math.isinf(eta):
+            raise LinAlgError(f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
+        if inv_low is None:  # no factor, finite by the eigen route: LU on G
+            lu = lu_factor(spectral.gram(a_s), check_finite=False)
+            core = lu_solve(lu, lu_solve(lu, a_s))
+        else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}
+            trmm = get_blas_funcs("trmm", (inv_low,))
+            core = a_s.T  # Fortran-ordered, multiplied in place
+            for trans in (2, 0, 2, 0):
+                core = trmm(1.0, inv_low, core, side=1, lower=1, trans_a=trans, overwrite_b=1)
+            core = core.T
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
         grad[rows] += scale / (eta * LOG2) * (-2.0 / m) * core
     return grad
@@ -132,8 +126,13 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
     accepted iterates; a singular trial step just shrinks like a failed Armijo
     test.  With sampled (non-exhaustive) patterns the report also carries a
     fresh-sample evaluation to expose overfitting to the common random set.
-    Raises LinAlgError when the start frame is singular on the pattern set.
+    Raises LinAlgError when the start frame is singular on the pattern set,
+    and ValueError unless step_init is finite and positive and max_iters >= 0.
     """
+    if not 0.0 < step_init < math.inf:  # nan fails too
+        raise ValueError(f"step must be finite and positive, got {step_init}")
+    if max_iters < 0:
+        raise ValueError(f"iterations must be at least 0, got {max_iters}")
     a = project_rows(np.array(_as_array(frame)))
     n, m = a.shape
     # exhaustive only when C(n, k) fits the budget too
@@ -196,8 +195,11 @@ def verify_local_min(frame, k, epsilons=(1e-3, 1e-2), trials=200, seed=0,
     For each epsilon, `trials` random tangent perturbations of that size are
     re-projected and the MLIE re-evaluated on the same fixed pattern set; the
     verdicts record how often it decreased (by more than decrease_threshold
-    bits) and the largest decrease seen.
+    bits) and the largest decrease seen.  ValueError unless every epsilon is
+    finite and positive.
     """
+    if not all(0.0 < eps < math.inf for eps in epsilons):  # nan fails too
+        raise ValueError(f"epsilons must be finite and positive, got {tuple(epsilons)}")
     a = project_rows(np.array(_as_array(frame)))
     n, m = a.shape
     pats, pattern_mode = pattern_set(n, k, mode, pattern_budget, seed)

@@ -55,14 +55,14 @@ def rdf(p, gamma):
 
 
 def wiener_distortion(sigma_x2, sigma_q2):
-    if sigma_x2 <= 0.0 or sigma_q2 < 0.0:
-        raise ValueError("variances must be positive (noise may be zero)")
+    if not (0.0 < sigma_x2 < math.inf and 0.0 <= sigma_q2 < math.inf):  # nan fails too
+        raise ValueError("variances must be finite and positive (noise may be zero)")
     return sigma_x2 * sigma_q2 / (sigma_x2 + sigma_q2)
 
 
 def wiener_alpha(sigma_x2, sigma_q2):
-    if sigma_x2 <= 0.0 or sigma_q2 < 0.0:
-        raise ValueError("variances must be positive (noise may be zero)")
+    if not (0.0 < sigma_x2 < math.inf and 0.0 <= sigma_q2 < math.inf):
+        raise ValueError("variances must be finite and positive (noise may be zero)")
     return sigma_x2 / (sigma_x2 + sigma_q2)
 
 

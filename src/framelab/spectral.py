@@ -9,11 +9,17 @@ the amplification factor of the least-squares encoder.  eta_s >= k/m always,
 with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
-The Cholesky kernel (`inverse_energy` and `cholesky`) calls BLAS and LAPACK
-only through `scipy.linalg.get_blas_funcs`/`get_lapack_funcs`.  numpy and
-scipy may load separate BLAS builds, each with its own thread pool, and
-handing one pattern's work from one pool to the other costs more than the
-arithmetic; `gram_eigenvalues`, the fallback route, stays on numpy.
+One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
+set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (herk/syrk
+on A_s^T forms the conjugate), and reads eta = ||L^{-1}||_F^2 / m off the
+inverse factor.  `inverse_energy` (ie-hist, mlie) and `optimize.sampled_mlie`
+and `optimize.mlie_gradient` share it, so they agree bit for bit.  There is
+one singularity policy: without a `cholesky` factor `gram_eigenvalues`
+decides singular (eta = inf) or finite, here and in `coder.encoder_matrix`.
+The kernel calls BLAS and LAPACK only through `scipy.linalg.get_blas_funcs`/
+`get_lapack_funcs`: numpy and scipy may load separate BLAS builds, each with
+its own thread pool, and handing one pattern's work from one pool to the
+other costs more than the arithmetic; the eigen route stays on numpy.
 
 The two reference eigenvalue laws for Gram matrices A_s A_s' of random
 patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
@@ -30,12 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .frames import pattern_indices
+from .frames import Frame
 
 __all__ = [
     "EigenSample",
     "EigenHistogram",
+    "canonical_rows",
+    "gram",
     "gram_eigenvalues",
+    "factored",
     "inverse_energy",
     "eta_from_eigenvalues",
     "cholesky",
@@ -61,31 +70,38 @@ _LEADING_KEYS = 4
 L1_SUBDIVISIONS = 16  # trapezoid panels per bin in l1_density_distance
 
 
-def _canonical_submatrix(frame, pattern):
-    """Pattern submatrix with rows in canonical (lexicographic) order.
+def canonical_rows(data, idx):
+    """Row indices of the (T, k) pattern set `idx`, each pattern's rows in
+    canonical (lexicographic) order of their entries.
 
     Reordering rows conjugates the Gram by a permutation, which leaves
     eigenvalues and eta mathematically fixed but perturbs floating point;
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
-    idx = np.asarray(sorted(pattern_indices(pattern)))
-    if idx.size == 0:
-        raise ValueError("empty pattern")
-    if idx[0] < 0 or idx[-1] >= frame.n:
-        raise IndexError(f"pattern index out of range for n={frame.n}")
-    if np.unique(idx).size != idx.size:
+    idx = np.sort(np.asarray(idx, dtype=np.intp), axis=-1)
+    if idx.ndim != 2 or idx.size == 0:
+        raise ValueError("empty pattern" if idx.ndim == 2 else "need a (T, k) pattern set")
+    n, (t, k) = data.shape[0], idx.shape
+    if idx[:, 0].min() < 0 or idx[:, -1].max() >= n:
+        raise IndexError(f"pattern index out of range for n={n}")
+    if np.any(idx[:, 1:] == idx[:, :-1]):
         raise ValueError("repeated pattern index")
-    a_s = frame.data[idx]
-    key = a_s.view(np.float64).reshape(idx.size, -1)
-    # Once the leading keys leave no two rows tied, the later keys never
-    # decide a comparison and the short sort is the full one.  Ties (repeated
-    # rows) take the full sort.  Frame data is finite, so == sees every tie.
-    lead = key[:, :_LEADING_KEYS]
-    order = np.lexsort(lead.T[::-1])
-    ranked = lead[order]
-    if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
-        order = np.lexsort(key.T[::-1])
-    return a_s[order]
+    # One lexsort orders the whole set, the pattern as primary key.  Once the
+    # leading keys leave no two rows of a pattern tied, the later keys never
+    # decide a comparison and the short sort is the full one.  Patterns with
+    # ties (repeated rows) take the full sort.  Frame data is finite, so ==
+    # sees every tie.
+    key = np.ascontiguousarray(data).view(np.float64).reshape(n, -1)
+    pid = np.repeat(np.arange(t), k)
+    lead = key[idx.ravel(), :_LEADING_KEYS]
+    order = np.lexsort((*lead.T[::-1], pid))
+    rows = idx.ravel()[order].reshape(t, k)
+    ranked = lead[order].reshape(t, k, -1)
+    tied = np.all(ranked[:, 1:] == ranked[:, :-1], axis=2).any(axis=1)
+    if tied.any():
+        sub = idx[tied].ravel()
+        rows[tied] = sub[np.lexsort((*key[sub].T[::-1], pid[:sub.size]))].reshape(-1, k)
+    return rows
 
 
 def eta_from_eigenvalues(eigenvalues, m):
@@ -130,35 +146,53 @@ class EigenSample:
     eta: float
 
 
+def gram(a_s):
+    """A_s A_s' by numpy: the Gram of the eigen route."""
+    return a_s @ a_s.conj().T
+
+
 def gram_eigenvalues(frame, pattern) -> EigenSample:
-    a_s = _canonical_submatrix(frame, pattern)
-    w = np.linalg.eigvalsh(a_s @ a_s.conj().T)
-    return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, frame.m))
+    """The eigen route for one pattern of a Frame or of its data array."""
+    data = frame.data if isinstance(frame, Frame) else frame
+    rows, = canonical_rows(data, [pattern])
+    w = np.linalg.eigvalsh(gram(data[rows]))
+    return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, data.shape[1]))
 
 
-def inverse_energy(frame, pattern):
-    """eta_s via a Cholesky factorization of the pattern Gram; inf when singular.
-
-    tr(G^{-1}) = ||L^{-1}||_F^2 for G = L L'.  When `cholesky` gives no factor
-    the eigenvalue route owns the singular/finite decision.
+def factored(data, idx):
+    """Per pattern of the (T, k) set `idx` over the frame rows `data`: its
+    rows in canonical order, A_s, L^{-1} (lower triangular) for the Cholesky
+    factor L of conj(G), G = A_s A_s', and eta_s = ||L^{-1}||_F^2 / m.
+    Without a `cholesky` factor L^{-1} is None and the eigenvalue route
+    (`gram_eigenvalues`) owns the singular/finite decision.
 
     The C-ordered k x m submatrix is the Fortran-ordered m x k matrix
     B = A_s^T, so BLAS herk/syrk forms B^H B = conj(G) in its lower triangle
     without a copy; conjugation changes neither the pivots nor the trace, and
     potrf and trtri read and write only that triangle.
     """
-    a_s = _canonical_submatrix(frame, pattern)
-    gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
-    low = cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
-    if low is None:
-        return gram_eigenvalues(frame, pattern).eta
-    trtri, = get_lapack_funcs(("trtri",), (low,))
-    inv_low, info = trtri(low, lower=1, overwrite_c=1)
-    if info:
-        raise ValueError(f"trtri failed with info={info}")
-    x = np.tril(inv_low).ravel()
-    dot = get_blas_funcs("dotc" if np.iscomplexobj(x) else "dot", (x,))
-    return float(dot(x, x).real) / frame.m
+    m = data.shape[1]
+    for rows in canonical_rows(data, idx):
+        a_s = data[rows]
+        gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
+        low = cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
+        if low is None:
+            yield rows, a_s, None, gram_eigenvalues(data, rows).eta
+            continue
+        trtri, = get_lapack_funcs(("trtri",), (low,))
+        inv_low, info = trtri(low, lower=1, overwrite_c=1)
+        if info:
+            raise ValueError(f"trtri failed with info={info}")
+        inv_low = np.tril(inv_low)
+        x = inv_low.ravel()
+        dot = get_blas_funcs("dotc" if np.iscomplexobj(x) else "dot", (x,))
+        yield rows, a_s, inv_low, float(dot(x, x).real) / m
+
+
+def inverse_energy(frame, pattern):
+    """eta_s via a Cholesky factorization of the pattern Gram (`factored`);
+    inf when singular."""
+    return next(factored(frame.data, [pattern]))[3]
 
 
 # --- Marchenko--Pastur (i.i.d. frames), aspect ratio 1/beta ------------------

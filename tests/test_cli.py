@@ -188,6 +188,13 @@ def test_rate_loss_rejects_bad_grid(tmp_path):
                      "--out", str(tmp_path / "y.csv")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spec", ["0:inf:1", "nan:3:1", "0:3:nan", "-inf:3:1", "0:3:inf"])
+def test_parse_grid_refuses_non_finite(spec):
+    # an unbounded grid (0:inf:1, -inf:3:1) would grow until memory runs out
+    with pytest.raises(cli.ConfigError, match="finite"):
+        cli.parse_grid(spec)
+
+
 def test_mlie_full_dft_is_zero(tmp_path):
     out = tmp_path / "mlie.csv"
     rc = cli.main(["mlie", "--frame", "bl", "--n", "8", "--m", "8", "--k", "8",
@@ -280,9 +287,18 @@ _DSS7 = ["--frame", "dss", "--p", "7", "--k", "2"]
     ["ie-hist", "--frame", "dss", "--p", "inf", "--k", "2", "--out", "x.csv"],
     ["optimize", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5", "--seed", "-1",
      "--iters", "1", "--out", "x.csv"],
+    ["coder", *_DSS7, "--sigma-x2", "nan", "--trials", "10", "--out", "x.csv"],
+    ["coder", *_DSS7, "--sigma-q2", "inf", "--trials", "10", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--step", "nan", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--step", "inf", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--step", "-1", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--iters", "-2", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--verify", "--epsilons", "nan", "--out", "x.csv"],
+    ["optimize", *_DSS7, "--verify", "--epsilons=-1e-3", "--out", "x.csv"],
 ], ids=["sigma-x2", "spectrum", "pattern-text", "pattern-range", "pattern-repeat",
         "epsilons", "ie-hist-guard", "mlie-guard", "construct-out", "p-inf",
-        "optimize-seed"])
+        "optimize-seed", "sigma-x2-nan", "sigma-q2-inf", "step-nan", "step-inf",
+        "step-negative", "iters-negative", "epsilons-nan", "epsilons-negative"])
 def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_CONFIG
@@ -340,8 +356,8 @@ _OPTIONS = {
                   "--format": ["csv", "json"]},
     "construct": {},
 }
-_BAD_VALUES = ["-1", "0", "1.5", "inf", "x", "1,1", "1,9", "0:x:1", "20", "random",
-               "nodir/out.csv", "other"]
+_BAD_VALUES = ["-1", "0", "1.5", "inf", "-inf", "nan", "x", "1,1", "1,9", "0:x:1", "20",
+               "random", "nodir/out.csv", "other"]
 
 
 @st.composite

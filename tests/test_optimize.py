@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from framelab import frames, optimize, patterns
+from framelab import frames, optimize, patterns, spectral
 
 
 def _fd_gradient(a, pats, h=1e-6):
@@ -55,6 +55,75 @@ def test_gradient_matches_finite_differences_random_instances():
         pats = [patterns.sample_pattern(n, k, seed=(case, t)) for t in range(4)]
         g = optimize.mlie_gradient(a, pats)
         assert np.abs(g - _fd_gradient(a, pats)).max() < 1e-5, f"case {case}"
+
+
+def _eigh_gradient(a, pats):
+    """Reference gradient from an eigendecomposition of each pattern Gram."""
+    n, m = a.shape
+    scale = 0.5 * (m / n) / len(pats)
+    grad = np.zeros_like(a)
+    for s in pats:
+        rows = list(s)
+        w, v = np.linalg.eigh(a[rows] @ a[rows].conj().T)
+        eta = np.sum(1.0 / w) / m
+        core = (v / (w * w)) @ v.conj().T @ a[rows]
+        grad[rows] += scale / (eta * math.log(2.0)) * (-2.0 / m) * core
+    return grad
+
+
+def _gradient_cases():
+    return {
+        "bl13": (frames.build_bandlimited_dft(13, 7), 5, 35),
+        "dss127": (frames.build_dss(127), 50, 8),
+        "iid_real": (frames.build_random_iid(30, 12, seed=3), 6, 40),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_gradient_cases()))
+def test_gradient_matches_eigh_reference(label):
+    f, k, count = _gradient_cases()[label]
+    pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
+    g = optimize.mlie_gradient(f, pats)
+    ref = _eigh_gradient(np.array(f.data), pats)
+    assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("label", sorted(_gradient_cases()))
+def test_gradient_lu_fallback_matches_factor_route(label, monkeypatch):
+    # without a Cholesky factor the eigen route gives eta and LU solves G
+    f, k, count = _gradient_cases()[label]
+    pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
+    g = optimize.mlie_gradient(f, pats)
+    rho = optimize.sampled_mlie(f, pats)
+    monkeypatch.setattr(spectral, "cholesky", lambda gram: None)
+    g_lu = optimize.mlie_gradient(f, pats)
+    assert np.abs(g_lu - g).max() <= 1e-12 * np.abs(g).max()
+    assert optimize.sampled_mlie(f, pats) == pytest.approx(rho, rel=1e-13)
+
+
+@pytest.mark.parametrize("frame, k, mode, trials", [
+    (frames.build_bandlimited_dft(13, 7), 5, "exhaustive", 0),
+    (frames.build_dss(47), 20, "sampled", 40),
+    (frames.build_random_iid(16, 8, field="complex", seed=1), 4, "sampled", 100),
+], ids=["bl13", "dss47", "iid_complex"])
+def test_sampled_mlie_bitwise_equals_ie_statistics(frame, k, mode, trials):
+    pats, _ = patterns.pattern_set(frame.n, k, mode, trials, seed=3)
+    stats = patterns.ie_statistics(frame, k, mode, trials, seed=3)
+    assert stats.fraction_singular == 0.0
+    assert optimize.sampled_mlie(frame, pats) == stats.mlie
+
+
+@pytest.mark.parametrize("step, iters", [
+    (math.nan, 5), (math.inf, 5), (-1.0, 5), (0.0, 5), (1e-2, -2)])
+def test_local_search_refuses_bad_step_and_iterations(step, iters):
+    with pytest.raises(ValueError, match="step|iterations"):
+        optimize.local_search(frames.build_dss(7), 2, step_init=step, max_iters=iters)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3, 0.0])
+def test_verify_local_min_refuses_bad_epsilons(eps):
+    with pytest.raises(ValueError, match="epsilons"):
+        optimize.verify_local_min(frames.build_dss(7), 2, epsilons=(1e-3, eps), trials=2)
 
 
 def test_gradient_zero_on_untouched_rows():

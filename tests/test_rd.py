@@ -48,6 +48,14 @@ def test_wiener_limits_and_domain():
         rd.wiener_alpha(1.0, -0.5)
 
 
+@pytest.mark.parametrize("sigma_x2, sigma_q2", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_wiener_refuses_non_finite_variances(sigma_x2, sigma_q2):
+    for fn in (rd.wiener_distortion, rd.wiener_alpha):
+        with pytest.raises(ValueError, match="finite"):
+            fn(sigma_x2, sigma_q2)
+
+
 def test_scheme_rate_value():
     # (m/n)(1/2) log2(1 + eta (gamma-1)) at n=4, m=2, eta=1/2, gamma=101
     assert abs(rd.scheme_rate(4, 2, 0.5, 101.0) - 0.25 * math.log2(51.0)) < 1e-15

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import LinAlgError, get_blas_funcs, get_lapack_funcs
 
 from framelab import coder, frames, optimize, spectral
 
@@ -126,13 +126,19 @@ def _full_lexsort(frame, pattern):
     return a_s[np.lexsort(key.T[::-1])]
 
 
+def _canonical(frame, patterns):
+    """The submatrices of a pattern set in the kernel's canonical row order."""
+    return [frame.data[rows] for rows in spectral.canonical_rows(frame.data, patterns)]
+
+
 @pytest.mark.parametrize("label", sorted(_family_frames()))
 def test_canonical_order_matches_full_lexsort(label):
     f = _family_frames()[label]
     rng = np.random.default_rng(8)
     for k in (1, 2, 5, f.m):
-        s = tuple(rng.choice(f.n, k, replace=False).tolist())
-        assert np.array_equal(spectral._canonical_submatrix(f, s), _full_lexsort(f, s))
+        pats = [tuple(rng.choice(f.n, k, replace=False).tolist()) for _ in range(4)]
+        for a_s, s in zip(_canonical(f, pats), pats):
+            assert np.array_equal(a_s, _full_lexsort(f, s))
 
 
 def test_canonical_order_falls_back_on_leading_key_ties():
@@ -144,7 +150,25 @@ def test_canonical_order_falls_back_on_leading_key_ties():
     others = _unit_rows(np.random.default_rng(2).standard_normal((4, 6)))
     f = frames.Frame(np.vstack([tied, others[0], others[0], others[1:]]))
     for s in [(0, 1, 2), (2, 0, 1, 5), (3, 4), (0, 1, 2, 3, 4, 6)]:
-        assert np.array_equal(spectral._canonical_submatrix(f, s), _full_lexsort(f, s))
+        assert np.array_equal(_canonical(f, [s])[0], _full_lexsort(f, s))
+    # one set mixing tied and untied patterns: only the tied ones take the full sort
+    pats = [(0, 1, 2), (4, 5, 6), (3, 4, 5), (1, 5, 6), (2, 0, 6)]
+    for a_s, s in zip(_canonical(f, pats), pats):
+        assert np.array_equal(a_s, _full_lexsort(f, s))
+
+
+def test_canonical_rows_checks_the_whole_set():
+    data = frames.build_bandlimited_dft(8, 4).data
+    rows = spectral.canonical_rows(data, [(3, 1), (7, 0)])
+    assert rows.shape == (2, 2) and sorted(rows[1].tolist()) == [0, 7]
+    with pytest.raises(IndexError, match="out of range"):
+        spectral.canonical_rows(data, [(0, 1), (2, 8)])
+    with pytest.raises(IndexError, match="out of range"):
+        spectral.canonical_rows(data, [(0, 1), (-1, 2)])
+    with pytest.raises(ValueError, match="repeated"):
+        spectral.canonical_rows(data, [(0, 1), (5, 5)])
+    with pytest.raises(ValueError, match="empty"):
+        spectral.canonical_rows(data, np.zeros((0, 2), dtype=int))
 
 
 @pytest.mark.parametrize("label", sorted(_family_frames()))
@@ -172,7 +196,7 @@ def test_inverse_energy_matches_eigen_route_dss947():
 def _vdot_eta(frame, pattern):
     """eta from the kernel's own canonical submatrix, Gram and factor, with
     the last step as numpy's vdot: the formula the BLAS dot must reproduce."""
-    a_s = spectral._canonical_submatrix(frame, pattern)
+    a_s, = _canonical(frame, [pattern])
     gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
     low = spectral.cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
     assert low is not None  # a pattern the eigen route would own proves nothing
@@ -216,9 +240,18 @@ def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
 def test_inverse_energy_calls_blas_only_through_scipy():
     # numpy's BLAS is a second library with its own thread pool; handing a
     # pattern's work to it costs more than the arithmetic
-    source = inspect.getsource(spectral.inverse_energy)
-    for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
-        assert token not in source
+    for fn in (spectral.inverse_energy, spectral.factored):
+        source = inspect.getsource(fn)
+        for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
+            assert token not in source, (fn.__name__, token)
+
+
+def test_mlie_kernel_calls_blas_only_through_scipy():
+    # the descent shares inverse_energy's factor: no Gram or eigensolver of its own
+    for fn in (optimize.sampled_mlie, optimize.mlie_gradient):
+        source = inspect.getsource(fn)
+        for token in ("np.linalg", " @ ", "np.dot", "np.vdot"):
+            assert token not in source, (fn.__name__, token)
 
 
 def _count_eigen_fallbacks(monkeypatch):
@@ -330,6 +363,8 @@ def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat
     assert eta == math.inf or eta >= len(s) / m - 1e-9
     # the other consumers of the singularity policy see the same patterns
     assert optimize.sampled_mlie(f, [s]) == math.inf
+    with pytest.raises(LinAlgError):  # raises rather than return nan
+        optimize.mlie_gradient(f, [s])
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(f, s)
 
