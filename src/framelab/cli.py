@@ -14,7 +14,8 @@ singular.  Headers are `# key=value` lines (sorted), one `timestamp` line
 excepted from reproducibility: re-running with identical arguments reproduces
 every other byte.  Exit codes: 0 success; 2 configuration error (argparse or
 the library refused the input, or an output file cannot be written); 3
-numerical failure (a singular pattern where a finite eta is needed).
+numerical failure (a numpy LinAlgError, such as `spectral.SingularPatternError`
+for a singular pattern where a finite eta is needed).
 """
 
 from __future__ import annotations
@@ -32,19 +33,16 @@ import numpy as np
 
 from . import __version__
 from . import frames, patterns, rd, spectral
-from .coder import SingularPatternError, simulate
+from .coder import simulate
 from .optimize import local_search, verify_local_min
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+MAX_GRID_POINTS = 10 ** 6  # --sdr-grid points; each is one optimize_beta call
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericalError(RuntimeError):
     pass
 
 
@@ -180,7 +178,7 @@ def cmd_ie_hist(args):
                                    seed=args.seed, bins=args.bins)
     mlie = args.subcommand == "mlie"
     if mlie and stats.fraction_singular == 1.0:
-        raise NumericalError("every pattern is singular; MLIE undefined")
+        raise spectral.SingularPatternError("every pattern is singular; MLIE undefined")
     config = frame_config(frame, args)
     if not mlie:
         config.update(_reference_limits(frame, k), bins=args.bins)
@@ -252,6 +250,10 @@ def parse_grid(spec):
         raise ConfigError(f"--sdr-grid wants lo:hi:step, got {spec!r}") from None
     if not (-math.inf < lo <= hi < math.inf and 0.0 < step < math.inf):  # nan fails too
         raise ConfigError("--sdr-grid needs finite lo <= hi and a finite step > 0")
+    if lo + step == lo or hi + step == hi:  # the loop below would never pass hi
+        raise ConfigError(f"--sdr-grid step {step!r} vanishes next to the bounds")
+    if (hi - lo + 1e-9) / step >= MAX_GRID_POINTS:  # floor of that, plus one, points
+        raise ConfigError(f"--sdr-grid {spec!r} has more than {MAX_GRID_POINTS} points")
     out = []
     v = lo
     while v <= hi + 1e-9:
@@ -297,11 +299,8 @@ def cmd_coder(args):
     frame = build_frame(args)
     k = _require_k(args, frame)
     fixed = tuple(int(tok) for tok in args.pattern.split(",")) if args.pattern else None
-    try:
-        report = simulate(frame, k, args.sigma_x2, args.sigma_q2,
-                          trials=args.trials, seed=args.seed, pattern=fixed)
-    except SingularPatternError as exc:
-        raise NumericalError(str(exc)) from None
+    report = simulate(frame, k, args.sigma_x2, args.sigma_q2,
+                      trials=args.trials, seed=args.seed, pattern=fixed)
     config = frame_config(frame, args)
     config.update(k=k, trials=args.trials, seed=args.seed,
                   sigma_x2=args.sigma_x2, sigma_q2=args.sigma_q2,
@@ -326,41 +325,36 @@ def cmd_optimize(args):
     config = frame_config(frame, args)
     if args.verify:
         eps = tuple(float(tok) for tok in args.epsilons.split(","))
-    try:
-        if args.verify:
-            report = verify_local_min(frame, k, epsilons=eps, trials=args.trials,
-                                      seed=args.seed, mode=args.pattern_mode,
-                                      pattern_budget=args.budget)
-            config.update(k=k, trials=args.trials, seed=args.seed,
-                          epsilons=args.epsilons, pattern_mode=report.pattern_mode,
-                          pattern_count=report.pattern_count,
-                          base_mlie_bits=repr(report.initial_mlie))
-            rows = [(repr(e), t, repr(frac), repr(dec))
-                    for e, t, frac, dec in report.perturbation_verdicts]
-            write_output(args.out, "optimize", config,
-                         ("epsilon", "trials", "fraction_decreased", "max_decrease_bits"),
-                         rows, args.format)
-        else:
-            report, final = local_search(frame, k, pattern_budget=args.budget,
-                                         step_init=args.step, max_iters=args.iters,
-                                         seed=args.seed)
-            config.update(k=k, seed=args.seed, budget=args.budget,
-                          pattern_mode=report.pattern_mode,
-                          pattern_count=report.pattern_count,
-                          initial_mlie_bits=repr(report.initial_mlie),
-                          final_mlie_bits=repr(report.final_mlie),
-                          converged=report.converged)
-            if report.fresh_mlie is not None:
-                config["fresh_mlie_bits"] = repr(report.fresh_mlie)
-            rows = [(0, repr(report.mlie_history[0]), "")]
-            rows += [(i + 1, repr(r), repr(s)) for i, (r, s) in
-                     enumerate(zip(report.mlie_history[1:], report.step_history))]
-            write_output(args.out, "optimize", config,
-                         ("iteration", "sampled_mlie_bits", "step"), rows, args.format)
-            if args.save_frame:
-                frames.save_frame(final, args.save_frame)
-    except np.linalg.LinAlgError as exc:  # singular start frame or gradient pattern
-        raise NumericalError(str(exc)) from None
+        report = verify_local_min(frame, k, epsilons=eps, trials=args.trials,
+                                  seed=args.seed, mode=args.pattern_mode,
+                                  pattern_budget=args.budget)
+        config.update(k=k, trials=args.trials, seed=args.seed,
+                      epsilons=args.epsilons, pattern_mode=report.pattern_mode,
+                      pattern_count=report.pattern_count,
+                      base_mlie_bits=repr(report.initial_mlie))
+        rows = [(repr(e), t, repr(frac), repr(dec))
+                for e, t, frac, dec in report.perturbation_verdicts]
+        write_output(args.out, "optimize", config,
+                     ("epsilon", "trials", "fraction_decreased", "max_decrease_bits"),
+                     rows, args.format)
+        return EXIT_OK
+    report, final = local_search(frame, k, pattern_budget=args.budget,
+                                 step_init=args.step, max_iters=args.iters, seed=args.seed)
+    config.update(k=k, seed=args.seed, budget=args.budget,
+                  pattern_mode=report.pattern_mode,
+                  pattern_count=report.pattern_count,
+                  initial_mlie_bits=repr(report.initial_mlie),
+                  final_mlie_bits=repr(report.final_mlie),
+                  converged=report.converged)
+    if report.fresh_mlie is not None:
+        config["fresh_mlie_bits"] = repr(report.fresh_mlie)
+    rows = [(0, repr(report.mlie_history[0]), "")]
+    rows += [(i + 1, repr(r), repr(s)) for i, (r, s) in
+             enumerate(zip(report.mlie_history[1:], report.step_history))]
+    write_output(args.out, "optimize", config,
+                 ("iteration", "sampled_mlie_bits", "step"), rows, args.format)
+    if args.save_frame:
+        frames.save_frame(final, args.save_frame)
     return EXIT_OK
 
 
@@ -467,12 +461,12 @@ def main(argv=None):
         args.frame = args.family
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, so it is caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # ConfigError, or input the library refused
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

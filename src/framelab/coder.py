@@ -25,12 +25,9 @@ from . import spectral
 from .frames import pattern_indices
 from .patterns import sample_pattern
 from .rd import wiener_alpha, wiener_distortion
+from .spectral import SingularPatternError
 
 __all__ = ["SingularPatternError", "encoder_matrix", "PatternTally", "CoderReport", "simulate"]
-
-
-class SingularPatternError(ValueError):
-    """Pattern submatrix is rank deficient; no pseudo-inverse encoder."""
 
 
 def encoder_matrix(frame, pattern):
@@ -102,6 +99,21 @@ def _draw(rng, size, variance, complex_field):
     return rng.standard_normal(size) * math.sqrt(variance)
 
 
+def _trial_blocks(n, k, trials, seed, fixed, lookup):
+    """(pattern, rng, rows): a block of `rows` trials whose x and q the
+    caller draws from `rng`.  A fixed pattern is one block of every trial from
+    the stream `seed`.  Otherwise trial t draws its pattern from substream
+    (seed, t, 1) and, unless `lookup` finds that pattern singular (None), is a
+    1-row block on substream (seed, t)."""
+    if fixed is not None:
+        yield fixed, np.random.default_rng(seed), trials
+        return
+    for t in range(trials):
+        idx = sample_pattern(n, k, seed=(seed, t, 1))
+        if lookup(idx) is not None:
+            yield idx, np.random.default_rng((seed, t)), 1
+
+
 def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> CoderReport:
     """Run the coding chain over `trials` draws and report empirical vs model
     quantities.
@@ -114,6 +126,8 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     n, m = frame.n, frame.m
     if k > m:
         raise ValueError(f"k={k} exceeds m={m}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     complex_field = frame.field == "complex"
     alpha = wiener_alpha(sigma_x2, sigma_q2)
     cache = {}  # pattern indices -> (A_s, B_s, eta) or None when singular
@@ -132,65 +146,34 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     fixed = None
     if pattern is not None:
         fixed = pattern_indices(pattern)
-        if len(fixed) != k:
-            raise ValueError("fixed pattern size disagrees with k")
-        if len(set(fixed)) != k or min(fixed) < 0 or max(fixed) >= n:
+        if len(fixed) != k or len(set(fixed)) != k or min(fixed) < 0 or max(fixed) >= n:
             raise ValueError(f"fixed pattern {fixed} needs {k} distinct indices in [0, {n})")
-        if lookup(fixed) is None:
-            raise SingularPatternError(f"fixed pattern {fixed} is singular")
     elif k == n:
-        fixed = tuple(range(n))
-        if lookup(fixed) is None:
-            raise SingularPatternError("the full pattern is singular")
+        fixed = tuple(range(n))  # the one pattern there is
+    if fixed is not None and lookup(fixed) is None:
+        raise SingularPatternError(f"fixed pattern {fixed} is singular")
 
     tallies = {}
     sq_err_sum = 0.0
     f_energy_sum = 0.0
     max_interp = 0.0
     used = 0
-    skipped = 0
-
-    if fixed is not None:
-        # single pattern: one stream, vectorized over trials
-        a_s, b, eta = lookup(fixed)
-        tally = tallies.setdefault(fixed, PatternTally(eta=eta))
-        rng = np.random.default_rng(seed)
-        x = _draw(rng, (trials, k), sigma_x2, complex_field)
-        q = _draw(rng, (trials, m), sigma_q2, complex_field)
+    for idx, rng, rows in _trial_blocks(n, k, trials, seed, fixed, lookup):
+        a_s, b, eta = cache[idx]
+        x = _draw(rng, (rows, k), sigma_x2, complex_field)
+        q = _draw(rng, (rows, m), sigma_q2, complex_field)
         f = x @ b.T
-        xhat = alpha * (f + q) @ a_s.T
-        err = np.abs(xhat - x) ** 2
+        err = np.abs(alpha * ((f + q) @ a_s.T) - x) ** 2
         fe = np.sum(np.abs(f) ** 2, axis=1) / m
-        sq_err_sum = float(err.sum())
-        f_energy_sum = float(fe.sum())
-        max_interp = float(np.sqrt(err.sum(axis=1).max()))
-        tally.count = trials
-        tally.f_energy_sum = f_energy_sum
-        tally.f_energy_sqsum = float((fe * fe).sum())
-        used = trials
-    else:
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            idx = sample_pattern(n, k, seed=(seed, t, 1))
-            entry = lookup(idx)
-            if entry is None:
-                skipped += 1
-                continue
-            a_s, b, eta = entry
-            tally = tallies.setdefault(idx, PatternTally(eta=eta))
-            x = _draw(rng, k, sigma_x2, complex_field)
-            q = _draw(rng, m, sigma_q2, complex_field)
-            f = b @ x
-            xhat = alpha * (a_s @ (f + q))
-            err = float(np.sum(np.abs(xhat - x) ** 2))
-            fe = float(np.sum(np.abs(f) ** 2)) / m
-            sq_err_sum += err
-            f_energy_sum += fe
-            max_interp = max(max_interp, math.sqrt(err))
-            tally.count += 1
-            tally.f_energy_sum += fe
-            tally.f_energy_sqsum += fe * fe
-            used += 1
+        fe_sum = float(fe.sum())
+        sq_err_sum += float(err.sum())
+        f_energy_sum += fe_sum
+        max_interp = max(max_interp, math.sqrt(err.sum(axis=1).max()))
+        tally = tallies.setdefault(idx, PatternTally(eta=eta))
+        tally.count += rows
+        tally.f_energy_sum += fe_sum
+        tally.f_energy_sqsum += float((fe * fe).sum())
+        used += rows
 
     if used == 0:
         raise SingularPatternError("every sampled pattern was singular")
@@ -216,6 +199,6 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
         n=n,
         m=m,
         k=k,
-        singular_skipped=skipped,
+        singular_skipped=trials - used,
         per_pattern=tallies,
     )

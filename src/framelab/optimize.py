@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_blas_funcs, lu_factor, lu_solve
+from scipy.linalg import get_blas_funcs, lu_factor, lu_solve
 
 from .frames import Frame
-from .patterns import pattern_set
+from .patterns import ENUMERATION_GUARD, pattern_set
 from . import spectral
+from .spectral import SingularPatternError
 
 __all__ = [
     "OptReport",
@@ -76,7 +77,8 @@ def mlie_gradient(frame_or_array, patterns):
 
     d tr(G^{-1}) / d A_s = -2 G^{-2} A_s; for complex frames the returned
     array packs d/dRe + i d/dIm.  Rows outside every pattern get zero.
-    Raises on a singular pattern (the objective is not differentiable there).
+    Raises SingularPatternError on a singular pattern (the objective is not
+    differentiable there).
     """
     a = _as_array(frame_or_array)
     n, m = a.shape
@@ -84,7 +86,8 @@ def mlie_gradient(frame_or_array, patterns):
     grad = np.zeros_like(a)
     for rows, a_s, inv_low, eta in spectral.factored(a, patterns):
         if math.isinf(eta):
-            raise LinAlgError(f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
+            raise SingularPatternError(
+                f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
         if inv_low is None:  # no factor, finite by the eigen route: LU on G
             lu = lu_factor(spectral.gram(a_s), check_finite=False)
             core = lu_solve(lu, lu_solve(lu, a_s))
@@ -97,6 +100,17 @@ def mlie_gradient(frame_or_array, patterns):
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
         grad[rows] += scale / (eta * LOG2) * (-2.0 / m) * core
     return grad
+
+
+def _start(frame, k, mode, pattern_budget, seed, max_exhaustive):
+    """The frame projected onto the unit-row manifold, its fixed pattern set
+    and mode, and rho there, which must be finite."""
+    a = project_rows(np.array(_as_array(frame)))
+    pats, mode = pattern_set(len(a), k, mode, pattern_budget, seed, max_exhaustive)
+    rho0 = sampled_mlie(a, pats)
+    if math.isinf(rho0):
+        raise SingularPatternError("start frame is rank deficient on the pattern set")
+    return a, pats, mode, rho0
 
 
 def _tangent(rows_matrix, g):
@@ -126,20 +140,16 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
     accepted iterates; a singular trial step just shrinks like a failed Armijo
     test.  With sampled (non-exhaustive) patterns the report also carries a
     fresh-sample evaluation to expose overfitting to the common random set.
-    Raises LinAlgError when the start frame is singular on the pattern set,
-    and ValueError unless step_init is finite and positive and max_iters >= 0.
+    Raises SingularPatternError when the start frame is singular on the
+    pattern set, and ValueError unless step_init is finite and positive and
+    max_iters >= 0.
     """
     if not 0.0 < step_init < math.inf:  # nan fails too
         raise ValueError(f"step must be finite and positive, got {step_init}")
     if max_iters < 0:
         raise ValueError(f"iterations must be at least 0, got {max_iters}")
-    a = project_rows(np.array(_as_array(frame)))
-    n, m = a.shape
     # exhaustive only when C(n, k) fits the budget too
-    pats, mode = pattern_set(n, k, "auto", pattern_budget, seed, max_exhaustive=pattern_budget)
-    rho0 = sampled_mlie(a, pats)
-    if math.isinf(rho0):
-        raise LinAlgError("start frame is rank deficient on the pattern set")
+    a, pats, mode, rho0 = _start(frame, k, "auto", pattern_budget, seed, pattern_budget)
     rho = rho0
     steps = []
     history = [rho0]
@@ -169,7 +179,7 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
         iterations += 1
     fresh = None
     if mode == "sampled":
-        fresh_pats, _ = pattern_set(n, k, "sampled", len(pats), seed + 1)
+        fresh_pats, _ = pattern_set(len(a), k, "sampled", len(pats), seed + 1)
         fresh = sampled_mlie(a, fresh_pats)
     report = OptReport(
         initial_mlie=rho0,
@@ -195,15 +205,16 @@ def verify_local_min(frame, k, epsilons=(1e-3, 1e-2), trials=200, seed=0,
     For each epsilon, `trials` random tangent perturbations of that size are
     re-projected and the MLIE re-evaluated on the same fixed pattern set; the
     verdicts record how often it decreased (by more than decrease_threshold
-    bits) and the largest decrease seen.  ValueError unless every epsilon is
-    finite and positive.
+    bits) and the largest decrease seen.  SingularPatternError when the base
+    point is singular on the pattern set; ValueError unless every epsilon is
+    finite and positive and trials >= 1.
     """
     if not all(0.0 < eps < math.inf for eps in epsilons):  # nan fails too
         raise ValueError(f"epsilons must be finite and positive, got {tuple(epsilons)}")
-    a = project_rows(np.array(_as_array(frame)))
-    n, m = a.shape
-    pats, pattern_mode = pattern_set(n, k, mode, pattern_budget, seed)
-    rho0 = sampled_mlie(a, pats)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    a, pats, pattern_mode, rho0 = _start(frame, k, mode, pattern_budget, seed,
+                                         ENUMERATION_GUARD)
     verdicts = []
     complex_field = np.iscomplexobj(a)
     for e_i, eps in enumerate(epsilons):

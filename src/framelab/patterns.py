@@ -71,6 +71,8 @@ def pattern_set(n, k, mode="auto", trials=2000, seed=0, max_exhaustive=ENUMERATI
     if mode == "auto":
         mode = "exhaustive" if count <= min(max_exhaustive, ENUMERATION_GUARD) else "sampled"
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"a sampled pattern set needs trials >= 1, got {trials}")
         rows = [sample_pattern(n, k, seed=(seed, t)) for t in range(trials)]
         return np.array(rows, dtype=np.intp).reshape(trials, k), mode
     if count > ENUMERATION_GUARD:

@@ -16,6 +16,7 @@ inverse factor.  `inverse_energy` (ie-hist, mlie) and `optimize.sampled_mlie`
 and `optimize.mlie_gradient` share it, so they agree bit for bit.  There is
 one singularity policy: without a `cholesky` factor `gram_eigenvalues`
 decides singular (eta = inf) or finite, here and in `coder.encoder_matrix`.
+Where a finite eta is needed, a singular pattern raises `SingularPatternError`.
 The kernel calls BLAS and LAPACK only through `scipy.linalg.get_blas_funcs`/
 `get_lapack_funcs`: numpy and scipy may load separate BLAS builds, each with
 its own thread pool, and handing one pattern's work from one pool to the
@@ -39,6 +40,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .frames import Frame
 
 __all__ = [
+    "SingularPatternError",
     "EigenSample",
     "EigenHistogram",
     "canonical_rows",
@@ -68,6 +70,11 @@ SINGULARITY_RATIO = 1e-12
 _LEADING_KEYS = 4
 
 L1_SUBDIVISIONS = 16  # trapezoid panels per bin in l1_density_distance
+
+
+class SingularPatternError(np.linalg.LinAlgError):
+    """A pattern submatrix is numerically rank deficient where a finite eta is
+    needed (an encoder, a gradient, an MLIE).  A LinAlgError, so a ValueError."""
 
 
 def canonical_rows(data, idx):

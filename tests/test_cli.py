@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ def test_parse_grid_refuses_non_finite(spec):
         cli.parse_grid(spec)
 
 
+def test_parse_grid_bounds_the_point_count():
+    # the count comes from lo, hi and step before any point is built
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="more than 1000000 points"):
+        cli.parse_grid("0:1e6:1")  # 1,000,001 points
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(cli.ConfigError, match="more than 1000000 points"):
+        cli.parse_grid("0:1e9:1")
+    assert len(cli.parse_grid("0:300:1")) == 301
+
+
+@pytest.mark.parametrize("spec", ["1e20:1e20:1", "-1e300:1e300:1"])
+def test_parse_grid_refuses_a_step_below_the_bounds_resolution(spec):
+    # v += step would leave v where it is, and the grid would never reach hi
+    with pytest.raises(cli.ConfigError, match="vanishes"):
+        cli.parse_grid(spec)
+
+
 def test_mlie_full_dft_is_zero(tmp_path):
     out = tmp_path / "mlie.csv"
     rc = cli.main(["mlie", "--frame", "bl", "--n", "8", "--m", "8", "--k", "8",
@@ -227,6 +246,26 @@ def test_optimize_rank_deficient_start_is_numerical_failure(tmp_path):
                    "--spectrum", "0,2,4,6", "--k", "2",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == cli.EXIT_NUMERICAL
+
+
+def test_optimize_verify_rank_deficient_start_is_numerical_failure(tmp_path, capsys):
+    # once an inf base MLIE passed as a local minimum with inf decreases
+    rc = cli.main(["optimize", "--frame", "spectrum", "--n", "8",
+                   "--spectrum", "0,2,4,6", "--k", "2", "--verify", "--trials", "5",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "rank deficient" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_any_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # main alone maps LinAlgError, a ValueError subclass, to exit 3
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(cli.patterns, "ie_statistics", fail)
+    assert cli.main(["ie-hist", *_DSS7, "--out", str(tmp_path / "x.csv")]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: no convergence\n"
 
 
 def test_optimize_descends_and_saves_frame(tmp_path):

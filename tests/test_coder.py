@@ -1,13 +1,14 @@
 """Coding-chain simulation: pseudo-inverse encoder, Wiener decoding, and the
 energy/distortion identities the model predicts."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from framelab import coder, frames, spectral
+from framelab import coder, frames, patterns, rd, spectral
 
 
 def test_encoder_matrix_unitary_is_adjoint():
@@ -81,6 +82,119 @@ def test_simulate_fixed_pattern():
     assert abs(r.model_f_energy - eta) < 1e-12
     with pytest.raises(ValueError):
         coder.simulate(f, 3, 1.0, 0.5, trials=10, pattern=(1, 5))  # size mismatch
+    with pytest.raises(ValueError):
+        coder.simulate(f, 2, 1.0, 0.5, trials=10, pattern=(1, 1, 5))  # two distinct of three
+
+
+def _reference_simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None):
+    """The two-path loop that `simulate`'s one trial path replaced: a block of
+    all trials for a fixed pattern, scaled by alpha before the decoder matmul,
+    and otherwise one matrix-vector trial at a time."""
+    n, m = frame.n, frame.m
+    cplx = frame.field == "complex"
+    alpha = rd.wiener_alpha(sigma_x2, sigma_q2)
+    cache, tallies = {}, {}
+    sq_err_sum = f_energy_sum = max_interp = 0.0
+    used = skipped = 0
+
+    def lookup(idx):
+        if idx not in cache:
+            try:
+                b = coder.encoder_matrix(frame, idx)
+            except coder.SingularPatternError:
+                cache[idx] = None
+            else:
+                cache[idx] = (frame.submatrix(idx), b, float(np.vdot(b, b).real) / m)
+        return cache[idx]
+
+    if pattern is not None:
+        fixed = frames.pattern_indices(pattern)
+        a_s, b, eta = lookup(fixed)
+        rng = np.random.default_rng(seed)
+        x = coder._draw(rng, (trials, k), sigma_x2, cplx)
+        q = coder._draw(rng, (trials, m), sigma_q2, cplx)
+        f = x @ b.T
+        err = np.abs(alpha * (f + q) @ a_s.T - x) ** 2
+        fe = np.sum(np.abs(f) ** 2, axis=1) / m
+        sq_err_sum, f_energy_sum = float(err.sum()), float(fe.sum())
+        max_interp = float(np.sqrt(err.sum(axis=1).max()))
+        tallies[fixed] = coder.PatternTally(eta, trials, f_energy_sum, float((fe * fe).sum()))
+        used = trials
+    else:
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            idx = patterns.sample_pattern(n, k, seed=(seed, t, 1))
+            entry = lookup(idx)
+            if entry is None:
+                skipped += 1
+                continue
+            a_s, b, eta = entry
+            tally = tallies.setdefault(idx, coder.PatternTally(eta=eta))
+            x = coder._draw(rng, k, sigma_x2, cplx)
+            q = coder._draw(rng, m, sigma_q2, cplx)
+            f = b @ x
+            err = float(np.sum(np.abs(alpha * (a_s @ (f + q)) - x) ** 2))
+            fe = float(np.sum(np.abs(f) ** 2)) / m
+            sq_err_sum += err
+            f_energy_sum += fe
+            max_interp = max(max_interp, math.sqrt(err))
+            tally.count += 1
+            tally.f_energy_sum += fe
+            tally.f_energy_sqsum += fe * fe
+            used += 1
+    emp_energy = f_energy_sum / used
+    return coder.CoderReport(
+        empirical_distortion=sq_err_sum / (used * k),
+        model_distortion=rd.wiener_distortion(sigma_x2, sigma_q2),
+        empirical_f_energy=emp_energy,
+        model_f_energy=math.fsum(t.eta * t.count for t in tallies.values()) / used * sigma_x2,
+        empirical_rate=(m / n) * 0.5 * math.log2(1.0 + emp_energy / sigma_q2),
+        max_interp_error=max_interp, alpha=alpha, sigma_x2=sigma_x2, sigma_q2=sigma_q2,
+        trials=trials, seed=seed, n=n, m=m, k=k, singular_skipped=skipped,
+        per_pattern=tallies)
+
+
+def _report_fields(report):
+    fields = dataclasses.asdict(report)
+    fields["per_pattern"] = {idx: dataclasses.astuple(t)
+                             for idx, t in report.per_pattern.items()}
+    return fields
+
+
+@pytest.mark.parametrize("build, k, seed, skipped", [
+    (lambda: frames.build_random_iid(40, 20, seed=0), 12, 0, 0),
+    (lambda: frames.build_random_iid(30, 16, field="complex", seed=1), 9, 2, 0),
+    (lambda: frames.build_paley_etf(38), 10, 3, 0),
+    (lambda: frames.build_dss(31), 5, 1, 0),
+    (lambda: frames.build_dft_spectrum(8, [0, 2, 4, 6]), 2, 5, 42),
+], ids=["iid-real", "iid-complex", "paley38", "dss31", "spectrum-singular"])
+def test_simulate_sampled_matches_per_trial_reference(build, k, seed, skipped):
+    f = build()
+    got = coder.simulate(f, k, 1.0, 0.5, trials=300, seed=seed)
+    assert got.singular_skipped == skipped
+    assert _report_fields(got) == _report_fields(
+        _reference_simulate(f, k, 1.0, 0.5, trials=300, seed=seed))
+
+
+def test_simulate_fixed_matches_block_reference():
+    # alpha = 1/2 scales exactly, so the order of scaling and matmul is moot
+    f = frames.build_dss(7)
+    got = coder.simulate(f, 3, 1.0, 1.0, trials=200, pattern=(5, 1, 3))
+    assert got.alpha == 0.5
+    assert _report_fields(got) == _report_fields(
+        _reference_simulate(f, 3, 1.0, 1.0, trials=200, pattern=(5, 1, 3)))
+    # alpha = 1/1.3 rounds, so scaling after the matmul moves the last digits
+    f = frames.build_paley_etf(14)
+    got = _report_fields(coder.simulate(f, 4, 1.0, 0.3, trials=10000, pattern=(2, 5, 6, 11)))
+    want = _report_fields(
+        _reference_simulate(f, 4, 1.0, 0.3, trials=10000, pattern=(2, 5, 6, 11)))
+    assert got["empirical_distortion"] != want["empirical_distortion"]
+    for key, value in want.items():
+        if key == "per_pattern":
+            for idx, tally in value.items():
+                assert got[key][idx] == pytest.approx(tally, rel=1e-15, abs=0.0)
+        else:
+            assert got[key] == pytest.approx(value, rel=1e-15, abs=0.0), key
 
 
 def test_simulate_fixed_singular_pattern():

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
 from framelab import frames, optimize, patterns, spectral
 
@@ -134,8 +133,17 @@ def test_gradient_zero_on_untouched_rows():
 
 def test_gradient_singular_pattern_raises():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])
-    with pytest.raises(LinAlgError):
+    with pytest.raises(spectral.SingularPatternError):
         optimize.mlie_gradient(np.array(f.data), [(0, 4)])
+
+
+def test_verify_local_min_refuses_singular_base():
+    # at an infinite base MLIE every perturbation would count as an inf decrease
+    f = frames.build_dft_spectrum(8, [0, 2, 4, 6])
+    with pytest.raises(spectral.SingularPatternError, match="rank deficient"):
+        optimize.verify_local_min(f, 2, trials=5)
+    with pytest.raises(spectral.SingularPatternError, match="rank deficient"):
+        optimize.local_search(f, 2, max_iters=1)
 
 
 def test_sampled_mlie_inf_on_singular():

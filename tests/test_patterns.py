@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from framelab import frames, patterns
+from framelab import coder, frames, optimize, patterns, spectral
 
 
 def test_sample_pattern_deterministic():
@@ -148,3 +148,23 @@ def test_square_random_divergence_growth():
 def test_square_random_divergence_validation():
     with pytest.raises(ValueError):
         patterns.square_random_divergence([3, 2])
+
+
+_DSS7 = frames.build_dss(7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: patterns.pattern_set(7, 2, "sampled", trials=0),
+    lambda: patterns.pattern_set(7, 2, "sampled", trials=-3),
+    lambda: patterns.ie_statistics(_DSS7, 2, mode="monte_carlo", trials=0),
+    lambda: spectral.eigen_histogram(_DSS7, 2, trials=0),
+    lambda: optimize.local_search(_DSS7, 2, pattern_budget=0),
+    lambda: coder.simulate(_DSS7, 2, 1.0, 1.0, trials=0),
+    lambda: coder.simulate(_DSS7, 2, 1.0, 1.0, trials=0, pattern=(1, 5)),
+    lambda: optimize.verify_local_min(_DSS7, 2, trials=0),
+], ids=["pattern-set", "pattern-set-negative", "ie-statistics", "eigen-histogram",
+        "local-search-budget", "coder-sampled", "coder-fixed", "verify-local-min"])
+def test_zero_counts_are_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"trials >= 1, got -?\d+") as info:
+        call()
+    assert not isinstance(info.value, np.linalg.LinAlgError)  # a config error, not exit 3

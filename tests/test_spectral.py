@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
-from scipy.linalg import LinAlgError, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
+import framelab
 from framelab import coder, frames, optimize, spectral
 
 # frozen values of the limiting inverse energy, from a quadrature of the MANOVA
@@ -304,6 +305,13 @@ def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     assert eta == spectral.gram_eigenvalues(f, (0, 1)).eta
 
 
+def test_one_singular_pattern_exception():
+    assert coder.SingularPatternError is spectral.SingularPatternError
+    assert framelab.SingularPatternError is spectral.SingularPatternError
+    assert issubclass(spectral.SingularPatternError, np.linalg.LinAlgError)
+    assert issubclass(spectral.SingularPatternError, ValueError)
+
+
 @pytest.mark.parametrize("theta", [0.0, 5e-6, 0.3])
 def test_cholesky_factor_or_none(theta):
     # theta = 0: identical rows, potrf refuses; 5e-6: potrf factors, but
@@ -363,7 +371,7 @@ def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat
     assert eta == math.inf or eta >= len(s) / m - 1e-9
     # the other consumers of the singularity policy see the same patterns
     assert optimize.sampled_mlie(f, [s]) == math.inf
-    with pytest.raises(LinAlgError):  # raises rather than return nan
+    with pytest.raises(spectral.SingularPatternError):  # raises rather than return nan
         optimize.mlie_gradient(f, [s])
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(f, s)
