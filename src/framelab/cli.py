@@ -26,6 +26,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 MAX_GRID_POINTS = 10 ** 6  # --sdr-grid points; each is one optimize_beta call
+FRAME_FAMILIES = ["bl", "iid", "dss", "spectrum", "paley"]
 
 
 class ConfigError(ValueError):
@@ -83,8 +85,6 @@ def _fmt(x):
 # --- frame plumbing ----------------------------------------------------------
 
 def add_frame_args(sub):
-    sub.add_argument("--frame", choices=["bl", "iid", "dss", "spectrum", "paley"],
-                     help="frame family")
     sub.add_argument("--n", type=int, help="source length (rows)")
     sub.add_argument("--m", type=int, help="transform dimension (columns)")
     sub.add_argument("--p", type=float, help="prime modulus for dss frames")
@@ -239,8 +239,9 @@ def cmd_eig_hist(args):
 
 
 def zoom_path(path):
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}_zoom.{ext}" if dot else f"{path}_zoom"
+    """eig.csv -> eig_zoom.csv; only the file name's extension is split off."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_zoom{ext}"
 
 
 def parse_grid(spec):
@@ -398,6 +399,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(s, trials=2000, bins=60):
+        s.add_argument("--frame", choices=FRAME_FAMILIES, help="frame family")
         add_frame_args(s)
         s.add_argument("--k", type=int, help="number of important samples")
         s.add_argument("--trials", type=count, default=trials)
@@ -446,8 +448,10 @@ def build_parser():
     s.add_argument("--save-frame", help="write the final frame here")
     s.set_defaults(func=cmd_optimize)
 
-    s = sub.add_parser("construct", help="build a frame, save it, report ETF status")
-    s.add_argument("family", choices=["bl", "iid", "dss", "spectrum", "paley"])
+    # no abbreviations: --frame would pass for --frame-seed
+    s = sub.add_parser("construct", help="build a frame, save it, report ETF status",
+                       allow_abbrev=False)
+    s.add_argument("frame", choices=FRAME_FAMILIES)
     add_frame_args(s)
     s.add_argument("--out", help="frame file (default derived from the family)")
     s.set_defaults(func=cmd_construct)
@@ -457,8 +461,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "construct":
-        args.frame = args.family
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:  # a ValueError, so it is caught first

@@ -36,18 +36,17 @@ def encoder_matrix(frame, pattern):
     ||B_s||_F^2 / m equals the inverse energy eta_s.  Singular vs finite is
     decided as in `spectral.inverse_energy`: without a `spectral.cholesky`
     factor, the pattern is singular exactly when `spectral.gram_eigenvalues`
-    gives eta = inf, and a finite one is solved by LU.
+    gives eta = inf, and a finite one goes through `spectral.gram_solve`.
     """
     idx = pattern_indices(pattern)
     a_s = frame.submatrix(idx)
     g = a_s @ a_s.conj().T
-    g = (g + g.conj().T) / 2.0
-    low = spectral.cholesky(np.array(g, order="F"))  # a copy: g stays for the LU solve
+    low = spectral.cholesky((g + g.conj().T) / 2.0)
     if low is not None:
         return cho_solve((low, True), a_s, check_finite=False).conj().T
     if math.isinf(spectral.gram_eigenvalues(frame, idx).eta):
         raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
-    return np.linalg.solve(g, a_s).conj().T
+    return spectral.gram_solve(a_s, a_s).conj().T
 
 
 @dataclass

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, lu_factor, lu_solve
+from scipy.linalg import get_blas_funcs
 
 from .frames import Frame
 from .patterns import ENUMERATION_GUARD, pattern_set
@@ -88,9 +88,8 @@ def mlie_gradient(frame_or_array, patterns):
         if math.isinf(eta):
             raise SingularPatternError(
                 f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
-        if inv_low is None:  # no factor, finite by the eigen route: LU on G
-            lu = lu_factor(spectral.gram(a_s), check_finite=False)
-            core = lu_solve(lu, lu_solve(lu, a_s))
+        if inv_low is None:  # no factor, finite by the eigen route
+            core = spectral.gram_solve(a_s, spectral.gram_solve(a_s, a_s))
         else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}
             trmm = get_blas_funcs("trmm", (inv_low,))
             core = a_s.T  # Fortran-ordered, multiplied in place

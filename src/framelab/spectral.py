@@ -10,17 +10,17 @@ with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
 One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
-set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (herk/syrk
-on A_s^T forms the conjugate), and reads eta = ||L^{-1}||_F^2 / m off the
-inverse factor.  `inverse_energy` (ie-hist, mlie) and `optimize.sampled_mlie`
-and `optimize.mlie_gradient` share it, so they agree bit for bit.  There is
-one singularity policy: without a `cholesky` factor `gram_eigenvalues`
-decides singular (eta = inf) or finite, here and in `coder.encoder_matrix`.
-Where a finite eta is needed, a singular pattern raises `SingularPatternError`.
-The kernel calls BLAS and LAPACK only through `scipy.linalg.get_blas_funcs`/
-`get_lapack_funcs`: numpy and scipy may load separate BLAS builds, each with
-its own thread pool, and handing one pattern's work from one pool to the
-other costs more than the arithmetic; the eigen route stays on numpy.
+set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (`gram`
+forms the conjugate), and reads eta = ||L^{-1}||_F^2 / m off the inverse
+factor.  `inverse_energy` (ie-hist, mlie) and `optimize.sampled_mlie` and
+`optimize.mlie_gradient` share it, so they agree bit for bit.  There is one
+singularity policy: without a `cholesky` factor `gram_eigenvalues` decides
+singular (eta = inf) or finite, here and in `coder.encoder_matrix`, and
+`gram_solve` is the one solve for a finite pattern without a factor.  Where a
+finite eta is needed, a singular pattern raises `SingularPatternError`.
+Every route calls BLAS and LAPACK only through scipy: numpy and scipy may load
+separate BLAS builds, each with its own thread pool, and handing one
+pattern's work from one pool to the other costs more than the arithmetic.
 
 The two reference eigenvalue laws for Gram matrices A_s A_s' of random
 patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
 
 from .frames import Frame
 
@@ -46,6 +46,7 @@ __all__ = [
     "canonical_rows",
     "gram",
     "gram_eigenvalues",
+    "gram_solve",
     "factored",
     "inverse_energy",
     "eta_from_eigenvalues",
@@ -154,16 +155,28 @@ class EigenSample:
 
 
 def gram(a_s):
-    """A_s A_s' by numpy: the Gram of the eigen route."""
-    return a_s @ a_s.conj().T
+    """conj(G), G = A_s A_s', in the lower triangle (upper unset): the
+    C-ordered A_s is the Fortran-ordered B = A_s^T, so herk/syrk forms
+    B^H B = conj(G) without a copy.  conj(G) has G's eigenvalues and trace."""
+    gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
+    return gram_k(1.0, a_s.T, trans=2, lower=1)
 
 
 def gram_eigenvalues(frame, pattern) -> EigenSample:
     """The eigen route for one pattern of a Frame or of its data array."""
     data = frame.data if isinstance(frame, Frame) else frame
     rows, = canonical_rows(data, [pattern])
-    w = np.linalg.eigvalsh(gram(data[rows]))
+    w = eigh(gram(data[rows]), lower=True, eigvals_only=True, driver="evd",
+             overwrite_a=True, check_finite=False)
     return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, data.shape[1]))
+
+
+def gram_solve(a_s, b):
+    """G^{-1} b for G = A_s A_s': the solve for a pattern without a `cholesky`
+    factor whose eta `gram_eigenvalues` calls finite.  `gram` gives conj(G),
+    and conj(G)^{-1} conj(b) = conj(G^{-1} b)."""
+    return np.conj(solve(gram(a_s), np.conj(b), lower=True, assume_a="her",
+                         overwrite_a=True, check_finite=False))
 
 
 def factored(data, idx):
@@ -171,18 +184,13 @@ def factored(data, idx):
     rows in canonical order, A_s, L^{-1} (lower triangular) for the Cholesky
     factor L of conj(G), G = A_s A_s', and eta_s = ||L^{-1}||_F^2 / m.
     Without a `cholesky` factor L^{-1} is None and the eigenvalue route
-    (`gram_eigenvalues`) owns the singular/finite decision.
-
-    The C-ordered k x m submatrix is the Fortran-ordered m x k matrix
-    B = A_s^T, so BLAS herk/syrk forms B^H B = conj(G) in its lower triangle
-    without a copy; conjugation changes neither the pivots nor the trace, and
-    potrf and trtri read and write only that triangle.
+    (`gram_eigenvalues`) owns the singular/finite decision.  potrf and trtri
+    read and write only the lower triangle that `gram` fills.
     """
     m = data.shape[1]
     for rows in canonical_rows(data, idx):
         a_s = data[rows]
-        gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
-        low = cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
+        low = cholesky(gram(a_s))
         if low is None:
             yield rows, a_s, None, gram_eigenvalues(data, rows).eta
             continue

@@ -130,7 +130,7 @@ def test_c03_manova_limit(dss947_etas, spec947_etas):
     dev_s = abs(etas_s.mean() - limit) / limit
     elapsed = t_d + t_s
     ok = dev_d < 0.05 and dev_s < 0.05 and elapsed < 600.0
-    detail = _report("C03", ok, f"quadrature limit={limit:.4f}, dss mean={etas_d.mean():.4f} "
+    detail = _report("C03", ok, f"closed-form limit={limit:.4f}, dss mean={etas_d.mean():.4f} "
                                 f"({dev_d:.2%}), spectrum mean={etas_s.mean():.4f} "
                                 f"({dev_s:.2%}), {elapsed:.0f}s")
     assert ok, detail

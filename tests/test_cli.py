@@ -118,6 +118,24 @@ def test_eig_hist_zoom_bins_the_same_sweep(tmp_path):
         assert _header_value(out, key) == _header_value(tmp_path / "eig_zoom.csv", key)
 
 
+@pytest.mark.parametrize("path, zoom", [
+    ("eig.csv", "eig_zoom.csv"),
+    ("eig", "eig_zoom"),
+    ("a.b/eig", "a.b/eig_zoom"),
+])
+def test_zoom_path_splits_only_the_file_name(path, zoom):
+    assert cli.zoom_path(path) == zoom
+
+
+def test_eig_hist_out_without_extension(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["eig-hist", "--frame", "dss", "--p", "7", "--k", "2",
+                   "--trials", "3", "--out", "./eig"])
+    assert rc == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eig", "eig_zoom"]
+    assert _header_value(tmp_path / "eig_zoom", "value_hi") == "0.2"
+
+
 @pytest.mark.parametrize("argv", [
     ["ie-hist", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "0"],
     ["ie-hist", "--frame", "dss", "--p", "7", "--k", "2", "--bins", "0"],
@@ -152,7 +170,8 @@ def test_eig_hist_outside_manova_domain_has_no_reference(tmp_path):
     ["coder", "--frame", "dss", "--p", "7", "--k", "2", "--trials", "3", "--bins", "7"],
     ["optimize", "--frame", "dss", "--p", "7", "--k", "2", "--bins", "7"],
     ["construct", "dss", "--p", "7", "--format", "json"],
-], ids=["coder-bins", "optimize-bins", "construct-format"])
+    ["construct", "dss", "--p", "7", "--frame", "iid", "--n", "3"],
+], ids=["coder-bins", "optimize-bins", "construct-format", "construct-frame"])
 def test_options_nothing_reads_are_refused(tmp_path, capsys, argv):
     out = tmp_path / "x.out"
     with pytest.raises(SystemExit) as exc:

@@ -89,7 +89,7 @@ def test_gradient_matches_eigh_reference(label):
 
 @pytest.mark.parametrize("label", sorted(_gradient_cases()))
 def test_gradient_lu_fallback_matches_factor_route(label, monkeypatch):
-    # without a Cholesky factor the eigen route gives eta and LU solves G
+    # without a Cholesky factor the eigen route gives eta and gram_solve solves G
     f, k, count = _gradient_cases()[label]
     pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
     g = optimize.mlie_gradient(f, pats)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 import framelab
-from framelab import coder, frames, optimize, spectral
+from framelab import coder, frames, optimize, patterns, spectral
 
 # frozen values of the limiting inverse energy, from a quadrature of the MANOVA
 # law (see also the closed-form cross-check below)
@@ -241,7 +242,9 @@ def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
 def test_inverse_energy_calls_blas_only_through_scipy():
     # numpy's BLAS is a second library with its own thread pool; handing a
     # pattern's work to it costs more than the arithmetic
-    for fn in (spectral.inverse_energy, spectral.factored):
+    for fn in (spectral.inverse_energy, spectral.factored, spectral.gram,
+               spectral.gram_eigenvalues, spectral.gram_solve, spectral.eigen_histogram,
+               patterns.square_random_divergence):
         source = inspect.getsource(fn)
         for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
             assert token not in source, (fn.__name__, token)
@@ -303,6 +306,44 @@ def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     assert not math.isnan(eta)
     assert math.isfinite(eta) == finite
     assert eta == spectral.gram_eigenvalues(f, (0, 1)).eta
+
+
+def _complex_rows_at_angle(theta, phase):
+    a = np.zeros((3, 2), dtype=complex)
+    a[0] = (1.0, 0.0)
+    a[1] = np.exp(1j * phase) * np.array([math.cos(theta), 1j * math.sin(theta)])
+    a[2] = (0.0, 1.0)
+    return frames.Frame(a)
+
+
+@pytest.mark.parametrize("frame", [
+    _two_rows_at_angle(5e-6), _two_rows_at_angle(2e-6),
+    _complex_rows_at_angle(4e-6, math.pi / 5),
+], ids=["real-5e-6", "real-2e-6", "complex-4e-6"])
+def test_screened_finite_pattern_goes_through_gram_solve(monkeypatch, frame):
+    # pivot^2 = sin^2(theta) trips the screen, yet lambda_min / lambda_max =
+    # tan^2(theta / 2) stays above SINGULARITY_RATIO (6.25e-12, 1.0000056e-12
+    # and 4e-12): finite, with no factor
+    a_s = frame.data[:2]
+    assert spectral.cholesky(spectral.gram(a_s)) is None
+    eta = spectral.gram_eigenvalues(frame, (0, 1)).eta
+    assert math.isfinite(eta)
+    calls = []
+    solve = spectral.gram_solve
+    monkeypatch.setattr(spectral, "gram_solve", lambda a, b: calls.append(a) or solve(a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = coder.encoder_matrix(frame, (0, 1))
+        grad = optimize.mlie_gradient(frame, [(0, 1)])
+    assert len(calls) == 3  # one for the encoder, two for G^{-2} A_s
+    pinv = np.linalg.pinv(a_s)
+    assert np.linalg.norm(b - pinv) <= 1e-4 * np.linalg.norm(pinv)
+    # A_s is square: G^{-2} A_s = A_s^{-H} A_s^{-1} A_s^{-H}
+    n, m = frame.data.shape
+    core = pinv.conj().T @ pinv @ pinv.conj().T
+    want = 0.5 * (m / n) / (eta * math.log(2.0)) * (-2.0 / m) * core
+    assert np.linalg.norm(grad[:2] - want) <= 1e-4 * np.linalg.norm(want)
+    assert not grad[2].any()
 
 
 def test_one_singular_pattern_exception():
