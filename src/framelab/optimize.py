@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 
 from .frames import Frame
 from .patterns import ENUMERATION_GUARD, pattern_set
@@ -84,6 +83,7 @@ def mlie_gradient(frame_or_array, patterns):
     n, m = a.shape
     scale = 0.5 * (m / n) / len(patterns)
     grad = np.zeros_like(a)
+    trmm = spectral.routines(a.dtype)["trmm"]
     for rows, a_s, inv_low, eta in spectral.factored(a, patterns):
         if math.isinf(eta):
             raise SingularPatternError(
@@ -91,7 +91,6 @@ def mlie_gradient(frame_or_array, patterns):
         if inv_low is None:  # no factor, finite by the eigen route
             core = spectral.gram_solve(a_s, spectral.gram_solve(a_s, a_s))
         else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}
-            trmm = get_blas_funcs("trmm", (inv_low,))
             core = a_s.T  # Fortran-ordered, multiplied in place
             for trans in (2, 0, 2, 0):
                 core = trmm(1.0, inv_low, core, side=1, lower=1, trans_a=trans, overwrite_b=1)

@@ -11,16 +11,18 @@ submatrices report eta = inf rather than an overflow artifact.
 
 One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
 set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (`gram`
-forms the conjugate), and reads eta = ||L^{-1}||_F^2 / m off the inverse
-factor.  `inverse_energy` (ie-hist, mlie) and `optimize.sampled_mlie` and
-`optimize.mlie_gradient` share it, so they agree bit for bit.  There is one
-singularity policy: without a `cholesky` factor `gram_eigenvalues` decides
-singular (eta = inf) or finite, here and in `coder.encoder_matrix`, and
-`gram_solve` is the one solve for a finite pattern without a factor.  Where a
-finite eta is needed, a singular pattern raises `SingularPatternError`.
-Every route calls BLAS and LAPACK only through scipy: numpy and scipy may load
-separate BLAS builds, each with its own thread pool, and handing one
-pattern's work from one pool to the other costs more than the arithmetic.
+forms the conjugate; potrf zeroes L's strict upper triangle), and reads
+eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
+mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so they
+agree bit for bit.  There is one singularity policy: without a `cholesky`
+factor `gram_eigenvalues` decides singular (eta = inf) or finite, here and in
+`coder.encoder_matrix`, and `gram_solve` is the one solve for a finite
+pattern without a factor.  Where a finite eta is needed, a singular pattern
+raises `SingularPatternError`.  Every route calls BLAS and LAPACK only
+through scipy, from one table per dtype (`routines`, so a pattern pays no
+lookup): numpy and scipy may load separate BLAS builds, each with its own
+thread pool, and handing one pattern's work from one pool to the other costs
+more than the arithmetic.
 
 The two reference eigenvalue laws for Gram matrices A_s A_s' of random
 patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
@@ -51,6 +54,7 @@ __all__ = [
     "inverse_energy",
     "eta_from_eigenvalues",
     "cholesky",
+    "routines",
     "mp_edges",
     "mp_density",
     "mp_eta_limit",
@@ -64,6 +68,7 @@ __all__ = [
 # lambda_min <= SINGULARITY_RATIO * lambda_max counts as singular: the log
 # histograms need to tell "huge but finite" from "gone".
 SINGULARITY_RATIO = 1e-12
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # the squared pivot ratio screen
 
 # Leading sort keys tried before the full lexicographic sort: a complex
 # band-limited frame has a constant column 0 (keys 0-1), so keys 2-3 are the
@@ -127,18 +132,28 @@ def pivots_near_singular(low):
     about eps/x in the later pivots, which passes for a real pivot once x is
     under sqrt(eps): rows (0, 1, 0), (sin e, cos e, 0), (1, 0, 0) span a plane,
     yet at e = 1e-5 the third pivot comes out near 3e-4."""
-    d = np.abs(np.diag(low))
-    return d.min() ** 2 <= math.sqrt(np.finfo(float).eps) * d.max() ** 2
+    d = np.abs(low.diagonal())
+    return d.min() ** 2 <= _SQRT_EPS * d.max() ** 2
+
+
+@cache
+def routines(dtype):
+    """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
+    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf and trtri."""
+    probe = np.empty(0, dtype)
+    field = ("herk", "dotc") if np.iscomplexobj(probe) else ("syrk", "dot")
+    blas = get_blas_funcs((*field, "trmm"), (probe,))
+    return dict(zip(("gram", "dot", "trmm", "potrf", "trtri"),
+                    (*blas, *get_lapack_funcs(("potrf", "trtri"), (probe,)))))
 
 
 def cholesky(g):
     """Lower Cholesky factor of the Hermitian matrix g, or None when potrf
     finds g not positive definite or `pivots_near_singular` trips: then only
     `gram_eigenvalues` can decide singular vs finite.  potrf reads the lower
-    triangle, leaves the upper one as it was, and factors a Fortran-ordered g
-    (so any 1 x 1 g) in place."""
-    potrf, = get_lapack_funcs(("potrf",), (g,))
-    low, info = potrf(g, lower=1, clean=0, overwrite_a=1)
+    triangle, zeroes the strict upper one (clean=1), and factors a
+    Fortran-ordered g (so any 1 x 1 g) in place."""
+    low, info = routines(g.dtype)["potrf"](g, lower=1, clean=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"potrf: illegal argument {-info}")
     if info > 0 or pivots_near_singular(low):
@@ -158,8 +173,7 @@ def gram(a_s):
     """conj(G), G = A_s A_s', in the lower triangle (upper unset): the
     C-ordered A_s is the Fortran-ordered B = A_s^T, so herk/syrk forms
     B^H B = conj(G) without a copy.  conj(G) has G's eigenvalues and trace."""
-    gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
-    return gram_k(1.0, a_s.T, trans=2, lower=1)
+    return routines(a_s.dtype)["gram"](1.0, a_s.T, trans=2, lower=1)
 
 
 def gram_eigenvalues(frame, pattern) -> EigenSample:
@@ -181,27 +195,26 @@ def gram_solve(a_s, b):
 
 def factored(data, idx):
     """Per pattern of the (T, k) set `idx` over the frame rows `data`: its
-    rows in canonical order, A_s, L^{-1} (lower triangular) for the Cholesky
-    factor L of conj(G), G = A_s A_s', and eta_s = ||L^{-1}||_F^2 / m.
-    Without a `cholesky` factor L^{-1} is None and the eigenvalue route
-    (`gram_eigenvalues`) owns the singular/finite decision.  potrf and trtri
-    read and write only the lower triangle that `gram` fills.
+    rows in canonical order, A_s, L^{-1} for the Cholesky factor L of
+    conj(G), G = A_s A_s', and eta_s = ||L^{-1}||_F^2 / m.  L^{-1} is lower
+    triangular with an exactly zero strict upper triangle: `cholesky` zeroes
+    it and trtri writes only the lower one.  Without a `cholesky` factor
+    L^{-1} is None and the eigenvalue route (`gram_eigenvalues`) owns the
+    singular/finite decision.  One `routines` table serves the whole set.
     """
     m = data.shape[1]
+    fn = routines(data.dtype)
     for rows in canonical_rows(data, idx):
         a_s = data[rows]
         low = cholesky(gram(a_s))
         if low is None:
             yield rows, a_s, None, gram_eigenvalues(data, rows).eta
             continue
-        trtri, = get_lapack_funcs(("trtri",), (low,))
-        inv_low, info = trtri(low, lower=1, overwrite_c=1)
+        inv_low, info = fn["trtri"](low, lower=1, overwrite_c=1)
         if info:
             raise ValueError(f"trtri failed with info={info}")
-        inv_low = np.tril(inv_low)
         x = inv_low.ravel()
-        dot = get_blas_funcs("dotc" if np.iscomplexobj(x) else "dot", (x,))
-        yield rows, a_s, inv_low, float(dot(x, x).real) / m
+        yield rows, a_s, inv_low, float(fn["dot"](x, x).real) / m
 
 
 def inverse_energy(frame, pattern):

@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 import framelab
-from framelab import coder, frames, optimize, patterns, spectral
+from framelab import cli, coder, frames, optimize, patterns, rd, spectral
 
 # frozen values of the limiting inverse energy, from a quadrature of the MANOVA
 # law (see also the closed-form cross-check below)
@@ -195,17 +195,27 @@ def test_inverse_energy_matches_eigen_route_dss947():
         assert abs(a - b) <= 1e-12 * b
 
 
-def _vdot_eta(frame, pattern):
-    """eta from the kernel's own canonical submatrix, Gram and factor, with
-    the last step as numpy's vdot: the formula the BLAS dot must reproduce."""
-    a_s, = _canonical(frame, [pattern])
+def _old_inverse_factor(a_s):
+    """L^{-1} for the Cholesky factor L of conj(A_s A_s'), formed as the
+    kernel formed it before the routine table: each routine looked up for
+    this pattern, potrf with clean=0, and np.tril on trtri's result."""
     gram_k = get_blas_funcs("herk" if np.iscomplexobj(a_s) else "syrk", (a_s,))
-    low = spectral.cholesky(gram_k(1.0, a_s.T, trans=2, lower=1))
-    assert low is not None  # a pattern the eigen route would own proves nothing
-    trtri, = get_lapack_funcs(("trtri",), (low,))
+    g = gram_k(1.0, a_s.T, trans=2, lower=1)
+    potrf, trtri = get_lapack_funcs(("potrf", "trtri"), (g,))
+    low, info = potrf(g, lower=1, clean=0, overwrite_a=1)
+    d = np.abs(np.diag(low))
+    # a pattern the eigen route would own proves nothing
+    assert info == 0 and d.min() ** 2 > math.sqrt(np.finfo(float).eps) * d.max() ** 2
     inv_low, info = trtri(low, lower=1, overwrite_c=1)
     assert info == 0
-    low_inv = np.tril(inv_low)
+    return np.tril(inv_low)
+
+
+def _vdot_eta(frame, pattern):
+    """eta from the kernel's canonical submatrix, the old-style inverse
+    factor and numpy's vdot: the formula the BLAS dot must reproduce."""
+    a_s, = _canonical(frame, [pattern])
+    low_inv = _old_inverse_factor(a_s)
     return float(np.real(np.vdot(low_inv, low_inv))) / frame.m
 
 
@@ -256,6 +266,118 @@ def test_mlie_kernel_calls_blas_only_through_scipy():
         source = inspect.getsource(fn)
         for token in ("np.linalg", " @ ", "np.dot", "np.vdot"):
             assert token not in source, (fn.__name__, token)
+
+
+def _old_factored(data, pats):
+    """(rows, A_s, L^{-1}, eta) per pattern with the old-style factor and a
+    per-pattern BLAS dot lookup: the reference for `spectral.factored`."""
+    for rows in spectral.canonical_rows(data, pats):
+        a_s = data[rows]
+        inv_low = _old_inverse_factor(a_s)
+        x = inv_low.ravel()
+        dot = get_blas_funcs("dotc" if np.iscomplexobj(x) else "dot", (x,))
+        yield rows, a_s, inv_low, float(dot(x, x).real) / data.shape[1]
+
+
+def _old_gradient(a, pats):
+    """`optimize.mlie_gradient` as four trmm on the old-style, tril'd factor."""
+    n, m = a.shape
+    scale = 0.5 * (m / n) / len(pats)
+    grad = np.zeros_like(a)
+    for rows, a_s, inv_low, eta in _old_factored(a, pats):
+        trmm = get_blas_funcs("trmm", (inv_low,))
+        core = a_s.T
+        for trans in (2, 0, 2, 0):
+            core = trmm(1.0, inv_low, core, side=1, lower=1, trans_a=trans, overwrite_b=1)
+        grad[rows] += scale / (eta * math.log(2.0)) * (-2.0 / m) * core.T
+    return grad
+
+
+def _zero_upper_cases():
+    return {
+        "bl13_k5_exhaustive": (frames.build_bandlimited_dft(13, 7),
+                               patterns.pattern_set(13, 5, "exhaustive")[0]),
+        "dss47_k20_sampled": (frames.build_dss(47),
+                              patterns.pattern_set(47, 20, "sampled", 200, 16)[0]),
+        "iid_real_12x6": (frames.build_random_iid(12, 6, seed=17),
+                          patterns.pattern_set(12, 4, "exhaustive")[0]),
+        "paley6": (frames.build_paley_etf(6), patterns.pattern_set(6, 3, "exhaustive")[0]),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_zero_upper_cases()))
+def test_factored_zero_upper_bitwise_equals_old_factor(label):
+    f, pats = _zero_upper_cases()[label]
+    a = np.array(f.data)
+    for new, old in zip(spectral.factored(a, pats), _old_factored(a, pats), strict=True):
+        assert np.array_equal(new[0], old[0])
+        assert not np.triu(new[2], 1).any()
+        assert np.array_equal(new[2], old[2])
+        assert new[3] == old[3]
+    assert np.array_equal(optimize.mlie_gradient(a, pats), _old_gradient(a, pats))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("layout", ["C", "F", "k1"])
+def test_cholesky_factor_has_zero_upper_triangle(complex_field, layout):
+    # C: the encoder's symmetrized numpy Gram; F: a full Fortran-ordered Gram
+    f = random_unit_frame(9, 6, 18, complex_field)
+    a_s = f.data[:1] if layout == "k1" else f.data[:5]
+    g = a_s @ a_s.conj().T
+    g = (g + g.conj().T) / 2.0 if layout == "C" else np.asfortranarray(g)
+    old, info = get_lapack_funcs(("potrf",), (g,))[0](g.copy(order="F"), lower=1, clean=0)
+    assert info == 0 and (layout == "k1" or np.triu(old, 1).any())
+    low = spectral.cholesky(g)
+    assert not np.triu(low, 1).any()
+    assert np.array_equal(low, np.tril(old))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_routine_table_matches_scipy_getters(dtype):
+    probe = np.ones((2, 2), dtype)
+    herm = np.iscomplexobj(probe)
+    expected = {
+        "gram": get_blas_funcs("herk" if herm else "syrk", (probe,)),
+        "dot": get_blas_funcs("dotc" if herm else "dot", (probe,)),
+        "trmm": get_blas_funcs("trmm", (probe,)),
+        "potrf": get_lapack_funcs(("potrf",), (probe,))[0],
+        "trtri": get_lapack_funcs(("trtri",), (probe,))[0],
+    }
+    table = spectral.routines(probe.dtype)
+    assert sorted(table) == sorted(expected)
+    for role, fn in expected.items():
+        assert (table[role].typecode, repr(table[role])) == (fn.typecode, repr(fn)), role
+
+
+@pytest.mark.parametrize("frame, k", [(frames.build_dss(47), 20),
+                                      (frames.build_random_iid(30, 12, seed=19), 6)])
+def test_warm_routine_table_makes_no_lookups(frame, k, monkeypatch):
+    a = np.array(frame.data)
+    pats, _ = patterns.pattern_set(frame.n, k, "sampled", 200, 20)
+    optimize.mlie_gradient(a, pats[:1])  # warms the table for this dtype
+    calls = []
+
+    def counted(getter):
+        def lookup(*args, **kwargs):
+            calls.append(args[0])
+            return getter(*args, **kwargs)
+        return lookup
+
+    for module in (spectral, optimize):
+        for name in ("get_blas_funcs", "get_lapack_funcs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert all(math.isfinite(eta) for *_, eta in spectral.factored(a, pats))
+    optimize.mlie_gradient(a, pats)
+    assert calls == []
+
+
+def test_routine_table_is_the_only_scipy_lookup():
+    table = inspect.getsource(spectral.routines)
+    for module in (spectral, optimize, coder, patterns, frames, rd, cli):
+        source = inspect.getsource(module).replace(table, "")
+        for token in ("get_blas_funcs(", "get_lapack_funcs("):
+            assert token not in source, (module.__name__, token)
 
 
 def _count_eigen_fallbacks(monkeypatch):
@@ -368,7 +490,7 @@ def test_cholesky_factor_or_none(theta):
         assert low is None
         assert np.linalg.cholesky(g)[1, 1] ** 2 <= 2.6e-11
     else:
-        low = np.tril(low)
+        assert not np.triu(low, 1).any()
         assert np.allclose(low @ low.T, g, rtol=0.0, atol=1e-15)
 
 
