@@ -18,7 +18,6 @@ from .frames import (
     conference_matrix,
     welch_bound,
     verify_etf,
-    full_spark_check,
     save_frame,
     load_frame,
 )

@@ -74,14 +74,6 @@ def write_output(path, subcommand, config, columns, rows, fmt="csv"):
         writer.writerows(rows)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return repr(x)
-    return x
-
-
 # --- frame plumbing ----------------------------------------------------------
 
 def add_frame_args(sub):
@@ -159,11 +151,11 @@ def _reference_limits(frame, k):
     lims = {
         "beta": beta,
         "eta_floor": k / frame.m,
-        "iid_limit": _fmt(spectral.mp_eta_limit(beta)),
+        "iid_limit": repr(spectral.mp_eta_limit(beta)),
     }
     if frame.kind in ("dss", "dft_spectrum", "bandlimited_dft"):
         try:
-            lims["manova_limit"] = _fmt(spectral.manova_eta_limit(beta, frame.m / frame.n))
+            lims["manova_limit"] = repr(spectral.manova_eta_limit(beta, frame.m / frame.n))
         except ValueError:
             pass  # square frame or beta outside the law's domain: no limit to quote
     return lims
@@ -183,8 +175,8 @@ def cmd_ie_hist(args):
     if not mlie:
         config.update(_reference_limits(frame, k), bins=args.bins)
     config.update(k=k, mode=stats.mode, trials=stats.trials, seed=args.seed,
-                  mean=_fmt(stats.mean), median=_fmt(stats.median),
-                  mlie_bits=_fmt(stats.mlie),
+                  mean=repr(stats.mean), median=repr(stats.median),
+                  mlie_bits=repr(stats.mlie),
                   fraction_singular=repr(stats.fraction_singular))
     rows = [(repr(float(lo)), repr(float(hi)), int(c)) for lo, hi, c in
             zip(stats.log_bin_edges[:-1], stats.log_bin_edges[1:], stats.log_counts)]
@@ -277,7 +269,7 @@ def cmd_rate_loss(args):
         beta_star, delta_star = rd.optimize_beta(args.p, gamma)
         asym = rd.high_sdr_asymptote(args.p, gamma) if gamma > math.e else float("nan")
         rows.append((db, repr(gamma), repr(beta_star), repr(delta_star), repr(si),
-                     _fmt(asym), repr(delta_star - si)))
+                     repr(asym), repr(delta_star - si)))
         signs.append(delta_star - si)
     crossings = [
         (grid[i], grid[i + 1])
@@ -311,7 +303,7 @@ def cmd_coder(args):
         ("model_distortion", repr(report.model_distortion)),
         ("empirical_f_energy", repr(report.empirical_f_energy)),
         ("model_f_energy", repr(report.model_f_energy)),
-        ("empirical_rate_bits", _fmt(report.empirical_rate)),
+        ("empirical_rate_bits", repr(report.empirical_rate)),
         ("max_interp_error", repr(report.max_interp_error)),
         ("alpha", repr(report.alpha)),
         ("singular_skipped", report.singular_skipped),

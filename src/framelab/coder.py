@@ -98,28 +98,14 @@ def _draw(rng, size, variance, complex_field):
     return rng.standard_normal(size) * math.sqrt(variance)
 
 
-def _trial_blocks(n, k, trials, seed, fixed, lookup):
-    """(pattern, rng, rows): a block of `rows` trials whose x and q the
-    caller draws from `rng`.  A fixed pattern is one block of every trial from
-    the stream `seed`.  Otherwise trial t draws its pattern from substream
-    (seed, t, 1) and, unless `lookup` finds that pattern singular (None), is a
-    1-row block on substream (seed, t)."""
-    if fixed is not None:
-        yield fixed, np.random.default_rng(seed), trials
-        return
-    for t in range(trials):
-        idx = sample_pattern(n, k, seed=(seed, t, 1))
-        if lookup(idx) is not None:
-            yield idx, np.random.default_rng((seed, t)), 1
-
-
 def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> CoderReport:
     """Run the coding chain over `trials` draws and report empirical vs model
     quantities.
 
-    With `pattern` fixed, every trial reuses that pattern and its cached
-    encoder; otherwise each trial draws a uniform pattern from a per-trial
-    substream (seed, t).  Trials whose sampled pattern is singular are counted
+    With `pattern` fixed (or k = n), every trial uses that one pattern and one
+    encoder, drawn as one block from the stream `seed`; otherwise trial t
+    draws a uniform pattern from substream (seed, t, 1) and its samples from
+    (seed, t).  Trials whose sampled pattern is singular are counted
     in singular_skipped and excluded from the averages.
     """
     n, m = frame.n, frame.m
@@ -129,18 +115,6 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
         raise ValueError(f"need trials >= 1, got {trials}")
     complex_field = frame.field == "complex"
     alpha = wiener_alpha(sigma_x2, sigma_q2)
-    cache = {}  # pattern indices -> (A_s, B_s, eta) or None when singular
-
-    def lookup(idx):
-        if idx not in cache:
-            try:
-                b = encoder_matrix(frame, idx)
-            except SingularPatternError:
-                cache[idx] = None
-            else:
-                cache[idx] = (frame.submatrix(idx), b,
-                              float(np.vdot(b, b).real) / m)
-        return cache[idx]
 
     fixed = None
     if pattern is not None:
@@ -149,16 +123,27 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
             raise ValueError(f"fixed pattern {fixed} needs {k} distinct indices in [0, {n})")
     elif k == n:
         fixed = tuple(range(n))  # the one pattern there is
-    if fixed is not None and lookup(fixed) is None:
-        raise SingularPatternError(f"fixed pattern {fixed} is singular")
+    # (pattern, rng, rows): a block of `rows` trials whose x and q come from rng
+    if fixed is not None:
+        blocks = [(fixed, np.random.default_rng(seed), trials)]
+    else:
+        blocks = ((sample_pattern(n, k, seed=(seed, t, 1)), np.random.default_rng((seed, t)), 1)
+                  for t in range(trials))
 
     tallies = {}
     sq_err_sum = 0.0
     f_energy_sum = 0.0
     max_interp = 0.0
     used = 0
-    for idx, rng, rows in _trial_blocks(n, k, trials, seed, fixed, lookup):
-        a_s, b, eta = cache[idx]
+    for idx, rng, rows in blocks:
+        try:
+            b = encoder_matrix(frame, idx)
+        except SingularPatternError:
+            if fixed is not None:
+                raise SingularPatternError(f"fixed pattern {fixed} is singular") from None
+            continue
+        a_s = frame.submatrix(idx)
+        eta = float(np.vdot(b, b).real) / m
         x = _draw(rng, (rows, k), sigma_x2, complex_field)
         q = _draw(rng, (rows, m), sigma_q2, complex_field)
         f = x @ b.T

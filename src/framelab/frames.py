@@ -9,15 +9,15 @@ frame elements, n >= m.  Families provided:
   * DSS                 -- DFT spectrum on a quadratic difference set
   * Paley real ETF      -- from a symmetric conference matrix
 
-plus certification helpers (Welch-bound equiangularity, tightness, full-spark
-probing) and a plain-text serialization format.
+plus certification helpers (Welch-bound equiangularity, tightness) and a
+plain-text serialization format.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isinf, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "conference_matrix",
     "welch_bound",
     "verify_etf",
-    "full_spark_check",
     "pattern_indices",
     "save_frame",
     "load_frame",
@@ -292,23 +291,6 @@ def verify_etf(frame, tol=1e-10) -> ETFReport:
         welch_bound=wb,
         max_welch_deviation=dev,
     )
-
-
-def full_spark_check(frame, patterns):
-    """Smallest singular value of A_s for each pattern; a pattern is flagged
-    exactly when `spectral.eta_from_eigenvalues` calls the squared singular
-    values singular, the policy under which `inverse_energy` returns inf.
-
-    Returns a list of (pattern, sigma_min, deficient) tuples.
-    """
-    from .spectral import eta_from_eigenvalues  # deferred: spectral imports frames
-
-    out = []
-    for s in patterns:
-        idx = pattern_indices(s)
-        sv = np.linalg.svd(frame.submatrix(idx), compute_uv=False)
-        out.append((idx, float(sv[-1]), isinf(eta_from_eigenvalues(sv ** 2, 1))))
-    return out
 
 
 # --- serialization: one JSON header line, then '%.17g' row-major values ---

@@ -14,10 +14,11 @@ set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (`gram`
 forms the conjugate; potrf zeroes L's strict upper triangle), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so they
-agree bit for bit.  There is one singularity policy: without a `cholesky`
-factor `gram_eigenvalues` decides singular (eta = inf) or finite, here and in
-`coder.encoder_matrix`, and `gram_solve` is the one solve for a finite
-pattern without a factor.  Where a finite eta is needed, a singular pattern
+agree bit for bit.  There is one singularity policy: `cholesky` gives no
+factor when potrf fails or its squared pivot ratio is under sqrt(eps), and
+then `gram_eigenvalues` decides singular (eta = inf) or finite, here and in
+`coder.encoder_matrix`; `gram_solve` is the one solve for a finite pattern
+without a factor.  Where a finite eta is needed, a singular pattern
 raises `SingularPatternError`.  Every route calls BLAS and LAPACK only
 through scipy, from one table per dtype (`routines`, so a pattern pays no
 lookup): numpy and scipy may load separate BLAS builds, each with its own
@@ -126,16 +127,6 @@ def eta_from_eigenvalues(eigenvalues, m):
     return float(np.sum(1.0 / w)) / m
 
 
-def pivots_near_singular(low):
-    """True when the Cholesky factor `low` cannot decide singular vs finite,
-    and `gram_eigenvalues` must.  A squared pivot ratio x leaves rounding of
-    about eps/x in the later pivots, which passes for a real pivot once x is
-    under sqrt(eps): rows (0, 1, 0), (sin e, cos e, 0), (1, 0, 0) span a plane,
-    yet at e = 1e-5 the third pivot comes out near 3e-4."""
-    d = np.abs(low.diagonal())
-    return d.min() ** 2 <= _SQRT_EPS * d.max() ** 2
-
-
 @cache
 def routines(dtype):
     """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
@@ -149,14 +140,20 @@ def routines(dtype):
 
 def cholesky(g):
     """Lower Cholesky factor of the Hermitian matrix g, or None when potrf
-    finds g not positive definite or `pivots_near_singular` trips: then only
-    `gram_eigenvalues` can decide singular vs finite.  potrf reads the lower
-    triangle, zeroes the strict upper one (clean=1), and factors a
-    Fortran-ordered g (so any 1 x 1 g) in place."""
+    finds g not positive definite or the squared pivot ratio is under
+    sqrt(eps): then only `gram_eigenvalues` can decide singular vs finite.
+    potrf reads the lower triangle, zeroes the strict upper one (clean=1),
+    and factors a Fortran-ordered g (so any 1 x 1 g) in place."""
     low, info = routines(g.dtype)["potrf"](g, lower=1, clean=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"potrf: illegal argument {-info}")
-    if info > 0 or pivots_near_singular(low):
+    # A squared pivot ratio x leaves rounding of about eps/x in the later
+    # pivots, which passes for a real pivot once x is under sqrt(eps): rows
+    # (0, 1, 0), (sin e, cos e, 0), (1, 0, 0) span a plane, yet at e = 1e-5
+    # the third pivot comes out near 3e-4.  At info == 0 the pivots are real
+    # and positive.
+    d = low.diagonal().real
+    if info > 0 or d.min() ** 2 <= _SQRT_EPS * d.max() ** 2:
         return None
     return low
 

@@ -199,8 +199,15 @@ def test_simulate_fixed_matches_block_reference():
 
 def test_simulate_fixed_singular_pattern():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])
-    with pytest.raises(coder.SingularPatternError):
+    with pytest.raises(coder.SingularPatternError, match="fixed pattern"):
         coder.simulate(f, 2, 1.0, 0.5, trials=10, pattern=(0, 4))
+
+
+def test_simulate_every_sampled_pattern_singular():
+    # four equal rows: every 2-pattern has rank 1
+    f = frames.Frame(np.ones((4, 3)) / math.sqrt(3.0))
+    with pytest.raises(coder.SingularPatternError, match="every sampled pattern"):
+        coder.simulate(f, 2, 1.0, 0.5, trials=10, seed=0)
 
 
 def test_simulate_full_pattern_shortcut():

@@ -102,6 +102,11 @@ def test_ie_statistics_respects_eta_floor():
     st = patterns.ie_statistics(f, 5, mode="monte_carlo", trials=200, seed=0)
     finite = st.samples[np.isfinite(st.samples)]
     assert (finite >= st.k / st.m - 1e-9).all()
+    # dss7 is full spark: every one of its 35 3-patterns is finite
+    st = patterns.ie_statistics(frames.build_dss(7), 3, mode="exhaustive")
+    assert st.samples.size == 35 and st.fraction_singular == 0
+    assert np.isfinite(st.samples).all()
+    assert (st.samples >= st.k / st.m - 1e-9).all()
 
 
 def test_ie_statistics_divergent_bin():

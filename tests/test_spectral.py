@@ -77,8 +77,15 @@ def test_singular_pattern_reports_inf():
     assert spectral.inverse_energy(f, (0, 4)) == math.inf  # identical rows
     s = spectral.gram_eigenvalues(f, (0, 4))
     assert s.eta == math.inf
-    for s in [(1, 5), (0, 1, 4), (2, 3, 6, 7)]:  # rows t and t+4 coincide
+    for s in [(1, 5), (0, 1, 4), (2, 3, 6, 7), (0, 2, 4, 6)]:  # rows t and t+4 coincide
         assert spectral.inverse_energy(f, s) == math.inf
+    # sigma_min is about 7e-9: above a 1e-10 sigma ratio, but its square is
+    # under the 1e-12 eigenvalue ratio at which inverse_energy gives inf
+    e = 1e-8
+    c = math.sqrt(1.0 - e * e) / math.sqrt(2.0)
+    tilted = frames.Frame(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [c, c, e]]))
+    assert 1e-9 < np.linalg.svd(tilted.data, compute_uv=False)[-1] < 1e-8
+    assert spectral.inverse_energy(tilted, (0, 1, 2)) == math.inf
     # three rows in one plane, two of them e apart: after the small second
     # pivot, the third comes out as rounding noise (near 3e-4), not zero
     for e in (2e-5, 1e-5):
