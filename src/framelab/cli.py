@@ -113,6 +113,9 @@ def build_frame(args):
         if args.spectrum == "random":
             if args.m is None:
                 raise ConfigError("--spectrum random needs --m")
+            if not 1 <= args.m <= args.n:
+                raise ConfigError(f"--spectrum random needs 1 <= m <= n, "
+                                  f"got m={args.m}, n={args.n}")
             rng = np.random.default_rng(args.spectrum_seed)
             spec = sorted(rng.choice(args.n, size=args.m, replace=False).tolist())
         else:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize as _sciopt
-
 __all__ = [
     "rdf",
     "wiener_distortion",
@@ -125,6 +123,10 @@ def optimize_beta(p, gamma):
     bounded scalar search refines it.
     Returns (beta_star, delta_star).
     """
+    # deferred: the optimizer package adds about 0.3 s and 20 MB to start-up,
+    # and only rate-loss reaches this function
+    from scipy.optimize import minimize_scalar
+
     if p >= 1.0:
         raise ValueError("p = 1 leaves no admissible beta")
     hi = 1.0 / p
@@ -134,7 +136,7 @@ def optimize_beta(p, gamma):
     i0 = min(range(len(vals)), key=vals.__getitem__)
     blo = grid[max(i0 - 1, 0)]
     bhi = grid[min(i0 + 1, len(grid) - 1)]
-    res = _sciopt.minimize_scalar(
+    res = minimize_scalar(
         lambda b: random_transform_excess(p, b, gamma),
         bounds=(blo, bhi), method="bounded",
         options={"xatol": BETA_TOL / 10.0},

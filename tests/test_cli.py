@@ -62,6 +62,26 @@ def test_ie_hist_reproducible_modulo_timestamp(tmp_path):
     assert _header_value(a, "manova_limit")
 
 
+_RANDOM_SPECTRUM = ["ie-hist", "--frame", "spectrum", "--spectrum", "random",
+                    "--n", "8"]
+
+
+@pytest.mark.parametrize("m", ["9", "0", "-1"])
+def test_random_spectrum_needs_m_within_n(tmp_path, capsys, m):
+    argv = [*_RANDOM_SPECTRUM, "--m", m, "--k", "1", "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--spectrum random needs 1 <= m <= n" in capsys.readouterr().err
+
+
+def test_random_spectrum_reproducible_modulo_timestamp(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = [*_RANDOM_SPECTRUM, "--m", "4", "--k", "2", "--spectrum-seed", "5", "--out"]
+    assert cli.main(argv + [str(a)]) == 0
+    assert cli.main(argv + [str(b)]) == 0
+    assert _lines_without_timestamp(a) == _lines_without_timestamp(b)
+    assert _header_value(a, "spectrum_seed") == "5"
+
+
 def test_ie_hist_square_frame_has_no_reference_limit(tmp_path):
     # m/n = 1 sits outside the spectral-law domain; the header just omits it
     out = tmp_path / "sq.csv"
