@@ -83,22 +83,20 @@ def add_frame_args(sub):
     sub.add_argument("--field", choices=["real", "complex"], default="real",
                      help="entry field for iid frames")
     sub.add_argument("--spectrum", help="comma list of frequencies, or 'random'")
-    sub.add_argument("--spectrum-seed", type=int, default=0,
+    sub.add_argument("--spectrum-seed", type=seed, default=0,
                      help="seed for --spectrum random")
-    sub.add_argument("--frame-seed", type=int, default=0, help="seed for iid frames")
+    sub.add_argument("--frame-seed", type=seed, default=0, help="seed for iid frames")
 
 
 def build_frame(args):
     kind = args.frame
     if kind is None:
         raise ConfigError("--frame is required")
+    if kind in ("bl", "iid") and (args.n is None or args.m is None):
+        raise ConfigError(f"{kind} frames need --n and --m")
     if kind == "bl":
-        if args.n is None or args.m is None:
-            raise ConfigError("bl frames need --n and --m")
         return frames.build_bandlimited_dft(args.n, args.m)
     if kind == "iid":
-        if args.n is None or args.m is None:
-            raise ConfigError("iid frames need --n and --m")
         return frames.build_random_iid(args.n, args.m, field=args.field,
                                        seed=args.frame_seed)
     if kind == "dss":
@@ -376,12 +374,17 @@ def cmd_construct(args):
 
 # --- parser ------------------------------------------------------------------
 
-def count(text):
-    """argparse type for counts (trials, bins, budget): an int >= 1."""
+def count(text, low=1):
+    """argparse type for counts (trials, bins, budget): an int >= low."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def seed(text):
+    """argparse type for seeds: an int >= 0, as numpy's generators need."""
+    return count(text, low=0)
 
 
 @functools.cache  # parse_args leaves the parser as it was, so main reuses one
@@ -398,7 +401,7 @@ def build_parser():
         add_frame_args(s)
         s.add_argument("--k", type=int, help="number of important samples")
         s.add_argument("--trials", type=count, default=trials)
-        s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--seed", type=seed, default=0)
         if bins:  # histogram subcommands only
             s.add_argument("--bins", type=count, default=bins)
         s.add_argument("--out", required=True, help="output file")

@@ -26,6 +26,7 @@ __all__ = [
     "DifferenceSet",
     "ETFReport",
     "FrameError",
+    "frame_rows",
     "build_bandlimited_dft",
     "build_random_iid",
     "build_dft_spectrum",
@@ -42,6 +43,12 @@ __all__ = [
 
 class FrameError(ValueError):
     """Invalid frame construction parameters."""
+
+
+def frame_rows(x):
+    """A Frame's rows, or an array, as float64 (complex128 if complex); no copy if already so."""
+    a = np.asarray(x.data if isinstance(x, Frame) else x)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
 
 
 def pattern_indices(pattern):
@@ -65,7 +72,8 @@ def _is_prime(p):
 
 @dataclass(frozen=True)
 class Frame:
-    """Immutable n x m frame matrix plus construction metadata."""
+    """Immutable n x m frame matrix plus construction metadata.  Data of any
+    real or complex dtype is held as a float64 (complex128) copy."""
 
     data: np.ndarray
     kind: str = "custom"
@@ -73,25 +81,17 @@ class Frame:
     seed: int | None = None
 
     def __post_init__(self):
-        a = np.array(self.data)  # private copy, frozen below
+        a = np.array(frame_rows(self.data))  # private copy, frozen below
         if a.ndim != 2:
             raise FrameError("frame data must be a 2-d matrix")
         n, m = a.shape
         if not (n >= m >= 1):
             raise FrameError(f"need n >= m >= 1, got n={n}, m={m}")
-        # complex128 data is checked as the float64 view of its (re, im)
-        # pairs, so real and complex frames share one path.  Any other dtype
-        # keeps numpy's norm: float32 and complex64 data are still judged in
-        # their own precision, as the unit-row gate always judged them.
-        x = np.ascontiguousarray(a).view(np.float64) if a.dtype == np.complex128 else a
+        x = np.ascontiguousarray(a).view(np.float64)  # complex: (re, im) pairs
         if not np.isfinite(x).all():
             raise FrameError("frame data must be finite (no nan or inf)")
         if self.kind != "random_iid":
-            if x.dtype == np.float64:
-                norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-            else:
-                norms = np.linalg.norm(x, axis=1)
-            bad = np.abs(norms - 1.0).max()
+            bad = np.abs(np.sqrt(np.einsum("ij,ij->i", x, x)) - 1.0).max()
             if bad > 1e-9:  # loose gate; constructions themselves hit 1e-12
                 raise FrameError(f"rows must be unit norm (max deviation {bad:.2e})")
         if self.spectrum is not None:

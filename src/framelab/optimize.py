@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, frame_rows
 from .patterns import ENUMERATION_GUARD, pattern_set
 from . import spectral
 from .spectral import SingularPatternError
@@ -53,16 +53,10 @@ def project_rows(a):
     return a / norms
 
 
-def _as_array(frame_or_array):
-    if isinstance(frame_or_array, Frame):
-        return frame_or_array.data
-    return np.asarray(frame_or_array)
-
-
 def sampled_mlie(frame_or_array, patterns):
     """rho over an explicit pattern list; inf if any pattern is singular.
     Summed as `patterns.ie_statistics` sums, so the same set gives the same bits."""
-    a = _as_array(frame_or_array)
+    a = frame_rows(frame_or_array)
     n, m = a.shape
     etas = [eta for *_, eta in spectral.factored(a, patterns)]
     if math.inf in etas:
@@ -79,7 +73,7 @@ def mlie_gradient(frame_or_array, patterns):
     Raises SingularPatternError on a singular pattern (the objective is not
     differentiable there).
     """
-    a = _as_array(frame_or_array)
+    a = frame_rows(frame_or_array)
     n, m = a.shape
     scale = 0.5 * (m / n) / len(patterns)
     grad = np.zeros_like(a)
@@ -103,7 +97,7 @@ def mlie_gradient(frame_or_array, patterns):
 def _start(frame, k, mode, pattern_budget, seed, max_exhaustive):
     """The frame projected onto the unit-row manifold, its fixed pattern set
     and mode, and rho there, which must be finite."""
-    a = project_rows(np.array(_as_array(frame)))
+    a = project_rows(np.array(frame_rows(frame)))
     pats, mode = pattern_set(len(a), k, mode, pattern_budget, seed, max_exhaustive)
     rho0 = sampled_mlie(a, pats)
     if math.isinf(rho0):

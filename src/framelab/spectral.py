@@ -19,8 +19,9 @@ factor when potrf fails or its squared pivot ratio is under sqrt(eps), and
 then `gram_eigenvalues` decides singular (eta = inf) or finite, here and in
 `coder.encoder_matrix`; `gram_solve` is the one solve for a finite pattern
 without a factor.  Where a finite eta is needed, a singular pattern
-raises `SingularPatternError`.  Every route calls BLAS and LAPACK only
-through scipy, from one table per dtype (`routines`, so a pattern pays no
+raises `SingularPatternError`.  Every route reads frame rows through
+`frames.frame_rows`, in float64 or complex128, and calls BLAS and LAPACK only
+through scipy, from one table for each (`routines`, so a pattern pays no
 lookup): numpy and scipy may load separate BLAS builds, each with its own
 thread pool, and handing one pattern's work from one pool to the other costs
 more than the arithmetic.
@@ -41,7 +42,7 @@ from functools import cache
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
 
-from .frames import Frame
+from .frames import frame_rows
 
 __all__ = [
     "SingularPatternError",
@@ -92,6 +93,7 @@ def canonical_rows(data, idx):
     eigenvalues and eta mathematically fixed but perturbs floating point;
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
+    data = frame_rows(data)
     idx = np.sort(np.asarray(idx, dtype=np.intp), axis=-1)
     if idx.ndim != 2 or idx.size == 0:
         raise ValueError("empty pattern" if idx.ndim == 2 else "need a (T, k) pattern set")
@@ -175,7 +177,7 @@ def gram(a_s):
 
 def gram_eigenvalues(frame, pattern) -> EigenSample:
     """The eigen route for one pattern of a Frame or of its data array."""
-    data = frame.data if isinstance(frame, Frame) else frame
+    data = frame_rows(frame)
     rows, = canonical_rows(data, [pattern])
     w = eigh(gram(data[rows]), lower=True, eigvals_only=True, driver="evd",
              overwrite_a=True, check_finite=False)
@@ -199,6 +201,7 @@ def factored(data, idx):
     L^{-1} is None and the eigenvalue route (`gram_eigenvalues`) owns the
     singular/finite decision.  One `routines` table serves the whole set.
     """
+    data = frame_rows(data)
     m = data.shape[1]
     fn = routines(data.dtype)
     for rows in canonical_rows(data, idx):

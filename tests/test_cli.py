@@ -173,6 +173,29 @@ def test_counts_below_one_exit_config(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--spectrum-seed", ["ie-hist", "--frame", "spectrum", "--n", "8", "--spectrum", "random",
+                         "--m", "2", "--k", "1", "--spectrum-seed=-1"]),
+    ("--frame-seed", ["ie-hist", "--frame", "iid", "--n", "8", "--m", "2", "--k", "1",
+                      "--frame-seed=-1"]),
+    ("--seed", ["optimize", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5",
+                "--seed", "-1", "--iters", "1"]),
+    ("--seed", ["ie-hist", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5",
+                "--seed", "-1"]),  # exhaustive: the seed is never used, still refused
+], ids=["spectrum-seed", "frame-seed", "optimize-seed", "ie-hist-exhaustive-seed"])
+def test_negative_seed_names_the_option(tmp_path, capsys, option, argv):
+    # numpy's generators refuse a negative seed without naming the option;
+    # argparse refuses it first, with the option's name and no traceback
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: must be at least 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eig_hist_outside_manova_domain_has_no_reference(tmp_path):
     # m/k = 2 exceeds n/m = 4/3 (and k + m > n): no MANOVA law, zero density
     out = tmp_path / "e.csv"
@@ -363,8 +386,6 @@ _DSS7 = ["--frame", "dss", "--p", "7", "--k", "2"]
      "--mode", "exhaustive", "--out", "x.csv"],
     ["construct", "dss", "--p", "7", "--out", "nodir/x.frame"],
     ["ie-hist", "--frame", "dss", "--p", "inf", "--k", "2", "--out", "x.csv"],
-    ["optimize", "--frame", "bl", "--n", "13", "--m", "7", "--k", "5", "--seed", "-1",
-     "--iters", "1", "--out", "x.csv"],
     ["coder", *_DSS7, "--sigma-x2", "nan", "--trials", "10", "--out", "x.csv"],
     ["coder", *_DSS7, "--sigma-q2", "inf", "--trials", "10", "--out", "x.csv"],
     ["optimize", *_DSS7, "--step", "nan", "--out", "x.csv"],
@@ -375,7 +396,7 @@ _DSS7 = ["--frame", "dss", "--p", "7", "--k", "2"]
     ["optimize", *_DSS7, "--verify", "--epsilons=-1e-3", "--out", "x.csv"],
 ], ids=["sigma-x2", "spectrum", "pattern-text", "pattern-range", "pattern-repeat",
         "epsilons", "ie-hist-guard", "mlie-guard", "construct-out", "p-inf",
-        "optimize-seed", "sigma-x2-nan", "sigma-q2-inf", "step-nan", "step-inf",
+        "sigma-x2-nan", "sigma-q2-inf", "step-nan", "step-inf",
         "step-negative", "iters-negative", "epsilons-nan", "epsilons-negative"])
 def test_bad_input_exits_config(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

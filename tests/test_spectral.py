@@ -356,6 +356,29 @@ def test_routine_table_matches_scipy_getters(dtype):
         assert (table[role].typecode, repr(table[role])) == (fn.typecode, repr(fn)), role
 
 
+def _route_outputs(route, data, pats):
+    """Every array and float a route returns for the pattern set, flattened."""
+    if route == "gram_eigenvalues":
+        return [x for s in pats for x in vars(spectral.gram_eigenvalues(data, s)).values()]
+    if route == "factored":
+        return [x for out in spectral.factored(data, pats) for x in out]
+    return [getattr(optimize, route)(data, pats)]
+
+
+@pytest.mark.parametrize("route", ["gram_eigenvalues", "factored", "sampled_mlie",
+                                   "mlie_gradient"])
+def test_float32_rows_compute_in_float64(route):
+    # m = 5 is odd, so float32 rows cannot be viewed as float64 pairs: each
+    # entry point casts them first and then matches the float64 call bitwise
+    a = frames.build_random_iid(9, 5, seed=1).data
+    pats, _ = patterns.pattern_set(9, 3, "exhaustive")
+    got = _route_outputs(route, a.astype(np.float32), pats)
+    want = _route_outputs(route, a.astype(np.float32).astype(np.float64), pats)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("frame, k", [(frames.build_dss(47), 20),
                                       (frames.build_random_iid(30, 12, seed=19), 6)])
 def test_warm_routine_table_makes_no_lookups(frame, k, monkeypatch):
