@@ -21,7 +21,6 @@ for a singular pattern where a finite eta is needed).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import json
@@ -147,21 +146,6 @@ def _require_k(args, frame):
     return args.k
 
 
-def _reference_limits(frame, k):
-    beta = frame.m / k
-    lims = {
-        "beta": beta,
-        "eta_floor": k / frame.m,
-        "iid_limit": repr(spectral.mp_eta_limit(beta)),
-    }
-    if frame.kind in ("dss", "dft_spectrum", "bandlimited_dft"):
-        try:
-            lims["manova_limit"] = repr(spectral.manova_eta_limit(beta, frame.m / frame.n))
-        except ValueError:
-            pass  # square frame or beta outside the law's domain: no limit to quote
-    return lims
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_ie_hist(args):
@@ -174,7 +158,11 @@ def cmd_ie_hist(args):
         raise spectral.SingularPatternError("every pattern is singular; MLIE undefined")
     config = frame_config(frame, args)
     if not mlie:
-        config.update(_reference_limits(frame, k), bins=args.bins)
+        config.update(beta=frame.m / k, eta_floor=k / frame.m, bins=args.bins,
+                      iid_limit=repr(spectral.mp_eta_limit(frame.m / k)))
+        law = spectral.reference_law(frame, k)
+        if law.name == "manova":
+            config["manova_limit"] = repr(law.eta_limit)
     config.update(k=k, mode=stats.mode, trials=stats.trials, seed=args.seed,
                   mean=repr(stats.mean), median=repr(stats.median),
                   mlie_bits=repr(stats.mlie),
@@ -186,45 +174,26 @@ def cmd_ie_hist(args):
     return EXIT_OK
 
 
-def _eig_reference(frame, k):
-    """Name and density of the reference law; 'none' and a zero density when
-    the frame has no law or lies outside the MANOVA law's domain."""
-    beta = frame.m / k
-    if frame.kind == "random_iid":
-        return "marchenko_pastur", lambda x: spectral.mp_density(x, beta)
-    if frame.kind in ("dss", "dft_spectrum"):
-        w = frame.m / frame.n
-        with contextlib.suppress(ValueError):  # beta > n/m or k + m > n: no law
-            spectral.manova_density(0.0, w, beta)  # raises outside the law's domain
-            return "manova", lambda x: spectral.manova_density(x, w, beta)
-    return "none", lambda x: np.zeros_like(np.asarray(x, dtype=float))
-
-
 def cmd_eig_hist(args):
     frame = build_frame(args)
     k = _require_k(args, frame)
-    beta = frame.m / k
-    ref_name, ref = _eig_reference(frame, k)
-    if frame.kind == "random_iid":
-        value_range = (0.0, 1.02 * spectral.mp_edges(beta)[1])
-    else:
-        value_range = (0.0, frame.n / frame.m)
+    law = spectral.reference_law(frame, k)
     config = frame_config(frame, args)
-    config.update(k=k, beta=beta, trials=args.trials, seed=args.seed,
-                  bins=args.bins, reference=ref_name)
+    config.update(k=k, beta=frame.m / k, trials=args.trials, seed=args.seed,
+                  bins=args.bins, reference=law.name)
 
     # one eigenvalue sweep, binned over the full range and over the zoom
     full = spectral.eigen_histogram(frame, k, trials=args.trials, bins=args.bins,
-                                    seed=args.seed, value_range=value_range)
+                                    seed=args.seed, value_range=law.value_range)
     zoom_range = (0.0, 0.2)
-    for path, rng_, hist in ((args.out, value_range, full),
+    for path, rng_, hist in ((args.out, law.value_range, full),
                              (zoom_path(args.out), zoom_range, full.rebin(zoom_range))):
         cfg = dict(config)
         cfg.update(value_lo=rng_[0], value_hi=rng_[1],
                    min_eigenvalue=repr(hist.min_eigenvalue),
                    max_eigenvalue=repr(hist.max_eigenvalue))
-        rows = [(repr(float(c)), repr(float(d)), repr(float(ref(np.array([c]))[0])))
-                for c, d in zip(hist.bin_centers, hist.density)]
+        rows = [(repr(float(c)), repr(float(d)), repr(float(r))) for c, d, r in
+                zip(hist.bin_centers, hist.density, law.density(hist.bin_centers))]
         write_output(path, "eig-hist", cfg,
                      ("bin_center", "empirical_density", "reference_density"),
                      rows, args.format)

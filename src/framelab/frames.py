@@ -73,7 +73,7 @@ def _is_prime(p):
 @dataclass(frozen=True)
 class Frame:
     """Immutable n x m frame matrix plus construction metadata.  Data of any
-    real or complex dtype is held as a float64 (complex128) copy."""
+    real or complex dtype is held as a C-ordered float64 (complex128) copy."""
 
     data: np.ndarray
     kind: str = "custom"
@@ -81,13 +81,13 @@ class Frame:
     seed: int | None = None
 
     def __post_init__(self):
-        a = np.array(frame_rows(self.data))  # private copy, frozen below
+        a = np.array(frame_rows(self.data), order="C")  # private copy, frozen below
         if a.ndim != 2:
             raise FrameError("frame data must be a 2-d matrix")
         n, m = a.shape
         if not (n >= m >= 1):
             raise FrameError(f"need n >= m >= 1, got n={n}, m={m}")
-        x = np.ascontiguousarray(a).view(np.float64)  # complex: (re, im) pairs
+        x = a.view(np.float64)  # complex: (re, im) pairs
         if not np.isfinite(x).all():
             raise FrameError("frame data must be finite (no nan or inf)")
         if self.kind != "random_iid":

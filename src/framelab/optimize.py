@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, frame_rows
-from .patterns import ENUMERATION_GUARD, pattern_set
+from .patterns import ENUMERATION_GUARD, mlie_bits, pattern_set
 from . import spectral
 from .spectral import SingularPatternError
 
@@ -55,14 +55,13 @@ def project_rows(a):
 
 def sampled_mlie(frame_or_array, patterns):
     """rho over an explicit pattern list; inf if any pattern is singular.
-    Summed as `patterns.ie_statistics` sums, so the same set gives the same bits."""
+    Summed by `patterns.mlie_bits`, as in `patterns.ie_statistics`, so the
+    same set gives the same bits."""
     a = frame_rows(frame_or_array)
-    n, m = a.shape
     etas = [eta for *_, eta in spectral.factored(a, patterns)]
     if math.inf in etas:
         return math.inf
-    scale = 0.5 * (m / n)
-    return math.fsum(scale * math.log2(v) for v in etas) / len(etas)
+    return mlie_bits(etas, *a.shape)
 
 
 def mlie_gradient(frame_or_array, patterns):

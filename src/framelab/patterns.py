@@ -30,6 +30,7 @@ __all__ = [
     "sample_pattern",
     "pattern_set",
     "IEStats",
+    "mlie_bits",
     "ie_statistics",
     "SquareDivergence",
     "square_random_divergence",
@@ -120,6 +121,12 @@ def _log_histogram(samples, k, m, bins):
     return edges, counts
 
 
+def mlie_bits(etas, n, m):
+    """rho = mean of (m/n)(1/2) log2(eta); fsum makes it order-independent."""
+    scale = 0.5 * (m / n)
+    return math.fsum(scale * math.log2(v) for v in etas) / len(etas)
+
+
 def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStats:
     """eta_s statistics for k-patterns of the frame.
 
@@ -133,12 +140,10 @@ def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStat
     samples = np.array([spectral.inverse_energy(frame, s) for s in idx])
     finite = samples[np.isfinite(samples)]
     n_singular = samples.size - finite.size
-    scale = 0.5 * (m / n)
     if finite.size:
         mean = math.fsum(finite) / finite.size
         median = float(np.median(finite))
-        # fsum keeps the reduction order-independent at the 1e-12 level
-        mlie = math.fsum(scale * math.log2(v) for v in finite) / finite.size
+        mlie = mlie_bits(finite, n, m)
     else:
         mean = median = mlie = math.inf
     edges, counts = _log_histogram(samples, k, m, bins)

@@ -26,18 +26,20 @@ lookup): numpy and scipy may load separate BLAS builds, each with its own
 thread pool, and handing one pattern's work from one pool to the other costs
 more than the arithmetic.
 
-The two reference eigenvalue laws for Gram matrices A_s A_s' of random
-patterns are Marchenko--Pastur (i.i.d. frames) and MANOVA (random DFT-spectrum
-and difference-set frames).  Their 1/x moments, scaled by 1/beta = k/m, give
-the limiting eta in closed form: 1/(beta - 1) for Marchenko--Pastur and
-(beta - w) / (beta (beta - 1)) for MANOVA with w = m/n, both inf at beta <= 1.
+The reference eigenvalue laws of the Grams A_s A_s' of random patterns, chosen
+by `reference_law`, are Marchenko--Pastur (i.i.d. frames) and MANOVA
+(difference-set, DFT-spectrum and Paley ETF frames).  Their 1/x moments, scaled
+by 1/beta = k/m, give the limiting eta: 1/(beta - 1) and (beta - w) /
+(beta (beta - 1)) with w = m/n, both inf at beta <= 1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
@@ -63,6 +65,7 @@ __all__ = [
     "manova_edges",
     "manova_density",
     "manova_eta_limit",
+    "reference_law",
     "eigen_histogram",
     "l1_density_distance",
 ]
@@ -306,6 +309,31 @@ def manova_eta_limit(beta, m_over_n=0.5):
     return (beta - m_over_n) / (beta * (beta - 1.0))
 
 
+ReferenceLaw = namedtuple("ReferenceLaw", "name density eta_limit value_range")
+
+
+def reference_law(frame, k) -> ReferenceLaw:
+    """The one map from a frame's kind and k to the limiting law of its random
+    k-pattern Grams: "marchenko_pastur" for i.i.d. frames; "manova" for
+    difference-set, DFT-spectrum and Paley ETF frames wherever
+    `manova_eta_limit` accepts (m/k, m/n); "none" otherwise, with a zero
+    density and eta_limit None.  The density is vectorized in x.  The value
+    range [0, n/m] holds a tight frame's pattern spectra; i.i.d. spectra reach
+    past n/m, so theirs ends at 1.02 times the upper Marchenko--Pastur edge."""
+    if not 0 < k <= frame.m:
+        raise ValueError(f"need 0 < k <= m, got k={k}, m={frame.m}")
+    beta, w = frame.m / k, frame.m / frame.n
+    if frame.kind == "random_iid":
+        return ReferenceLaw("marchenko_pastur", partial(mp_density, beta=beta),
+                            mp_eta_limit(beta), (0.0, 1.02 * mp_edges(beta)[1]))
+    tight = (0.0, frame.n / frame.m)
+    if frame.kind in ("dss", "dft_spectrum", "paley_etf"):
+        with contextlib.suppress(ValueError):  # square frame, beta > n/m or k + m > n
+            return ReferenceLaw("manova", partial(manova_density, m_over_n=w, beta=beta),
+                                manova_eta_limit(beta, w), tight)
+    return ReferenceLaw("none", lambda x: np.zeros(np.shape(x)), None, tight)
+
+
 # --- empirical spectra -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -354,21 +382,18 @@ class EigenHistogram:
 def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> EigenHistogram:
     """Aggregate eigenvalues of A_s A_s' over `trials` uniform random patterns.
 
-    Default range [0, n/m] covers the DFT-spectrum support; i.i.d. frames
-    spill past n/m, so pass an explicit range there.  Per-trial RNG streams
-    are derived from (seed, trial), so the aggregate is independent of
-    evaluation order.
+    The default range is the one of the frame's `reference_law`.  Per-trial
+    RNG streams are derived from (seed, trial), so the aggregate is
+    independent of evaluation order.
     """
     from .patterns import pattern_set  # deferred: patterns imports spectral
 
-    if k > frame.m:
-        raise ValueError(f"k={k} exceeds m={frame.m}")
-    if value_range is None:
-        value_range = (0.0, frame.n / frame.m)
+    law = reference_law(frame, k)  # refuses k outside (0, m]
     idx, _ = pattern_set(frame.n, k, "sampled", trials, seed)
     all_w = [gram_eigenvalues(frame, s).eigenvalues for s in idx]
-    return EigenHistogram.from_eigenvalues(np.concatenate(all_w), bins, value_range,
-                                           trials, seed)
+    return EigenHistogram.from_eigenvalues(
+        np.concatenate(all_w), bins, law.value_range if value_range is None else value_range,
+        trials, seed)
 
 
 def l1_density_distance(hist, density_fn):

@@ -224,6 +224,33 @@ def test_options_nothing_reads_are_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _law_outputs(tmp_path, frame_args):
+    """ie-hist and eig-hist outputs for one frame."""
+    ie, eig = tmp_path / "ie.csv", tmp_path / "eig.csv"
+    for sub, out in (("ie-hist", ie), ("eig-hist", eig)):
+        assert cli.main([sub, *frame_args, "--trials", "5", "--out", str(out)]) == cli.EXIT_OK
+    return ie, eig
+
+
+def test_paley_frames_get_the_manova_law(tmp_path):
+    # m/k = 19/12 lies inside the MANOVA domain m/k <= n/m = 2
+    ie, eig = _law_outputs(tmp_path, ["--frame", "paley", "--n", "38", "--k", "12"])
+    assert _header_value(ie, "manova_limit") == repr(spectral.manova_eta_limit(19 / 12, 0.5))
+    assert _header_value(ie, "iid_limit") == repr(spectral.mp_eta_limit(19 / 12))
+    assert _header_value(eig, "reference") == "manova"
+    assert any(float(r.split(",")[2]) > 0.0 for r in _rows(eig)[1:])
+
+
+def test_bandlimited_frames_have_no_law(tmp_path):
+    # a band-limited frame's eta reaches no finite limit, so none is quoted
+    ie, eig = _law_outputs(tmp_path, ["--frame", "bl", "--n", "13", "--m", "7", "--k", "5"])
+    with pytest.raises(KeyError):
+        _header_value(ie, "manova_limit")
+    assert _header_value(ie, "iid_limit") == repr(spectral.mp_eta_limit(7 / 5))
+    assert _header_value(eig, "reference") == "none"
+    assert all(r.strip().split(",")[2] == "0.0" for r in _rows(eig)[1:])
+
+
 def test_eig_hist_iid_uses_mp_reference(tmp_path):
     out = tmp_path / "mp.csv"
     rc = cli.main(["eig-hist", "--frame", "iid", "--n", "40", "--m", "20",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from framelab import frames
+from framelab import frames, patterns, spectral
 
 
 def test_bandlimited_single_column_is_constant():
@@ -291,6 +291,33 @@ def test_frame_data_immutable():
     f = frames.build_bandlimited_dft(6, 3)
     with pytest.raises(ValueError):
         f.data[0, 0] = 0.0
+
+
+_C_ORDER_BUILDS = {
+    "bandlimited": lambda: frames.build_bandlimited_dft(13, 7),
+    "iid_real": lambda: frames.build_random_iid(13, 7, seed=2),
+    "iid_complex": lambda: frames.build_random_iid(13, 7, field="complex", seed=2),
+    "dft_spectrum": lambda: frames.build_dft_spectrum(13, [0, 2, 3, 7, 11]),
+    "dss": lambda: frames.build_dss(31),
+    "paley38": lambda: frames.build_paley_etf(38),
+    "paley998": lambda: frames.build_paley_etf(998),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_C_ORDER_BUILDS))
+def test_frames_store_c_ordered_rows(label, tmp_path):
+    # a frame stored in Fortran order made every canonical_rows call copy it
+    f = _C_ORDER_BUILDS[label]()
+    path = tmp_path / "f.frame"
+    frames.save_frame(f, path)
+    fortran = frames.Frame(np.asfortranarray(f.data), kind=f.kind, spectrum=f.spectrum,
+                           seed=f.seed)
+    pats = patterns.pattern_set(f.n, 5, "sampled", 10, seed=1)[0]
+    etas = [spectral.inverse_energy(f, s) for s in pats]
+    for g in (f, frames.load_frame(path), fortran):
+        assert g.data.flags.c_contiguous
+        assert np.array_equal(g.data, f.data)
+        assert [spectral.inverse_energy(g, s) for s in pats] == etas
 
 
 def test_roundtrip_real_exact(tmp_path):

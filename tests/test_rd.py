@@ -3,6 +3,7 @@ beta optimizer against a dense-grid oracle."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +167,17 @@ def test_optimize_beta_against_grid_oracle():
     )
     assert delta_star <= grid_best + 1e-9
     assert abs(delta_star - 0.4619300228786012) < 1e-6
+
+
+def test_excess_turns_at_most_once():
+    # optimize_beta's docstring: f' has at most one zero on (0, 1/p - 1], so
+    # the excess falls, then rises, along any beta grid on (1, 1/p]
+    rng = np.random.default_rng(10)
+    for p, db in zip(rng.uniform(0.05, 0.95, 200), rng.uniform(1.0, 300.0, 200)):
+        gamma = rd.gamma_from_db(db)
+        betas = np.linspace(1.0, 1.0 / p, 401)[1:]
+        steps = np.sign(np.diff([rd.random_transform_excess(p, b, gamma) for b in betas]))
+        assert np.count_nonzero(steps[1:] != steps[:-1]) <= 1, (p, db)
 
 
 def test_optimize_beta_vanishes_at_low_sdr():

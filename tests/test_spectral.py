@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import warnings
@@ -337,6 +338,18 @@ def test_cholesky_factor_has_zero_upper_triangle(complex_field, layout):
     low = spectral.cholesky(g)
     assert not np.triu(low, 1).any()
     assert np.array_equal(low, np.tril(old))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("k", [1, 5])
+def test_gram_has_zero_strict_upper_triangle(complex_field, k):
+    # `factored` takes `dot` over all of L^{-1}, so nothing may reach the
+    # strict upper triangle; potrf without `clean` would keep the Gram's
+    a_s = random_unit_frame(9, 6, 19, complex_field).data[:k]
+    g = spectral.gram(a_s)
+    assert g.shape == (k, k) and g.dtype == a_s.dtype
+    assert not np.triu(g, 1).any()
+    assert np.allclose(np.tril(g), np.tril(np.conj(a_s @ a_s.conj().T)), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
@@ -684,6 +697,76 @@ def test_manova_eta_limit_divergence_and_domain():
 def test_manova_eta_limit_monotone_in_beta():
     vals = [spectral.manova_eta_limit(b) for b in (1.1, 1.25, 1.5, 1.9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _law_cases():
+    """frame, k and the law `reference_law` should name."""
+    return {
+        "iid_real": (frames.build_random_iid(40, 20, seed=0), 10, "marchenko_pastur"),
+        "iid_complex": (frames.build_random_iid(40, 20, field="complex"), 16,
+                        "marchenko_pastur"),
+        "dss": (frames.build_dss(31), 10, "manova"),
+        "dft_spectrum": (frames.build_dft_spectrum(31, [1, 3, 4, 8, 11, 17, 20, 21, 25, 27]),
+                         8, "manova"),
+        "paley": (frames.build_paley_etf(38), 12, "manova"),
+        "paley_full": (frames.build_paley_etf(38), 19, "manova"),
+        "paley_m_over_k_above_n_over_m": (frames.build_paley_etf(38), 9, "none"),
+        "spectrum_k_plus_m_above_n": (frames.build_dft_spectrum(8, range(6)), 5, "none"),
+        "square_dft": (frames.build_dft_spectrum(8, range(8)), 3, "none"),
+        "bandlimited": (frames.build_bandlimited_dft(13, 7), 5, "none"),
+        "custom": (random_unit_frame(31, 12, seed=6), 8, "none"),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_law_cases()))
+def test_reference_law_by_family(label):
+    f, k, name = _law_cases()[label]
+    law = spectral.reference_law(f, k)
+    beta, w = f.m / k, f.m / f.n
+    assert law.name == name
+    if name == "marchenko_pastur":
+        assert law.eta_limit == spectral.mp_eta_limit(beta)
+        assert law.value_range == (0.0, 1.02 * spectral.mp_edges(beta)[1])
+    else:
+        assert law.value_range == (0.0, f.n / f.m)
+    if name == "manova":
+        assert law.eta_limit == spectral.manova_eta_limit(beta, w)
+    if name == "none":
+        assert law.eta_limit is None
+        assert not law.density(np.linspace(0.0, 4.0, 9)).any()
+
+
+@pytest.mark.parametrize("label", ["iid_real", "dss", "paley"])
+def test_reference_density_on_all_centres_equals_per_centre_calls(label):
+    # eig-hist evaluates the density once on every bin centre; it used to
+    # call it once per centre, and the two must give the same bits
+    f, k, _ = _law_cases()[label]
+    law = spectral.reference_law(f, k)
+    beta, w = f.m / k, f.m / f.n
+    one = (functools.partial(spectral.mp_density, beta=beta) if label == "iid_real"
+           else functools.partial(spectral.manova_density, m_over_n=w, beta=beta))
+    edges = np.linspace(*law.value_range, 101)
+    centres = (edges[:-1] + edges[1:]) / 2.0
+    together = law.density(centres)
+    assert together.shape == (100,) and together.any()
+    assert together.tolist() == [float(one(np.array([c]))[0]) for c in centres]
+
+
+def test_reference_law_refuses_k_outside_the_frame():
+    f = frames.build_dss(7)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="0 < k <= m"):
+            spectral.reference_law(f, k)
+        with pytest.raises(ValueError, match="0 < k <= m"):
+            spectral.eigen_histogram(f, k, trials=2)
+
+
+def test_eigen_histogram_default_range_is_the_law_range():
+    f = frames.build_random_iid(40, 20, seed=0)
+    h = spectral.eigen_histogram(f, 10, trials=3, bins=20, seed=1)
+    assert (h.bin_edges[0], h.bin_edges[-1]) == spectral.reference_law(f, 10).value_range
+    # the old default [0, n/m] = [0, 2] cut the sample short
+    assert f.n / f.m < h.max_eigenvalue < h.bin_edges[-1]
 
 
 def test_eigen_histogram_full_dft_point_mass():
