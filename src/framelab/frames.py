@@ -41,6 +41,9 @@ __all__ = [
     "load_frame",
 ]
 
+_GATHER_ROWS = 64  # rows per step of the DFT-family gather
+
+
 class FrameError(ValueError):
     """Invalid frame construction parameters."""
 
@@ -49,6 +52,12 @@ def frame_rows(x):
     """A Frame's rows, or an array, as float64 (complex128 if complex); no copy if already so."""
     a = np.asarray(x.data if isinstance(x, Frame) else x)
     return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
+def _frozen(a):
+    """A builder's fresh array, made read-only so that `Frame` keeps it."""
+    a.setflags(write=False)
+    return a
 
 
 def pattern_indices(pattern):
@@ -72,8 +81,14 @@ def _is_prime(p):
 
 @dataclass(frozen=True)
 class Frame:
-    """Immutable n x m frame matrix plus construction metadata.  Data of any
-    real or complex dtype is held as a C-ordered float64 (complex128) copy."""
+    """Immutable n x m frame matrix plus construction metadata.
+
+    Ownership rule: `data` is kept as given only when it is already the array
+    a Frame holds -- read-only, C-ordered, float64 or complex128, and owning
+    its memory (`base is None`), so no writeable array shares that memory.  Anything
+    else, of any real or complex dtype, is copied into such an array.  The
+    builders hand over a fresh array frozen this way, so a frame is built in
+    the one buffer it keeps."""
 
     data: np.ndarray
     kind: str = "custom"
@@ -81,7 +96,9 @@ class Frame:
     seed: int | None = None
 
     def __post_init__(self):
-        a = np.array(frame_rows(self.data), order="C")  # private copy, frozen below
+        a = frame_rows(self.data)
+        if a.flags.writeable or a.base is not None or not a.flags.c_contiguous:
+            a = np.array(a, order="C")  # private copy, frozen below
         if a.ndim != 2:
             raise FrameError("frame data must be a 2-d matrix")
         n, m = a.shape
@@ -143,11 +160,16 @@ def build_dft_spectrum(n, spectrum, kind="dft_spectrum") -> Frame:
     if any(not 0 <= f < n for f in spec):
         raise FrameError("spectrum index out of range")
     # exp(2 pi i t f / n) is the n-th root of unity at t f mod n; reducing
-    # t f exactly in integers keeps every exp argument below 2 pi
-    t = np.arange(n)[:, None]
-    f = np.array(spec, dtype=np.int64)[None, :]
+    # t f exactly in integers keeps every exp argument below 2 pi.  The
+    # gather runs _GATHER_ROWS rows at a time into the frame's own buffer, so
+    # no n x m index table is ever formed.
+    f = np.array(spec, dtype=np.int64)
     roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(m)
-    return Frame(roots[t * f % n], kind=kind, spectrum=spec)
+    a = np.empty((n, m), dtype=np.complex128)
+    for lo in range(0, n, _GATHER_ROWS):
+        t = np.arange(lo, min(lo + _GATHER_ROWS, n))[:, None]
+        np.take(roots, t * f % n, out=a[lo:lo + t.size])
+    return Frame(_frozen(a), kind=kind, spectrum=spec)
 
 
 def build_random_iid(n, m, field="real", seed=0) -> Frame:
@@ -157,12 +179,20 @@ def build_random_iid(n, m, field="real", seed=0) -> Frame:
         raise FrameError(f"m={m} exceeds n={n}")
     rng = np.random.default_rng(seed)
     if field == "real":
-        a = rng.standard_normal((n, m)) / np.sqrt(m)
+        a = rng.standard_normal((n, m))
+        a /= np.sqrt(m)
     elif field == "complex":
-        a = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * m)
+        # (x + 1j y) / sqrt(2m) for draws x then y, formed in the frame's
+        # buffer through one real scratch array
+        a = np.empty((n, m), dtype=np.complex128)
+        part = np.empty((n, m))
+        a.real = rng.standard_normal(out=part)
+        a.imag = rng.standard_normal(out=part)
+        del part  # gone before Frame's checks allocate
+        a /= np.sqrt(2 * m)
     else:
         raise FrameError(f"unknown field {field!r}")
-    return Frame(a, kind="random_iid", seed=seed)
+    return Frame(_frozen(a), kind="random_iid", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -249,7 +279,7 @@ def build_paley_etf(n) -> Frame:
         raise FrameError("conference Gram did not split evenly")  # pragma: no cover
     # eigensolver leaves row norms at 1 up to rounding; snap them exactly
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    return Frame(a, kind="paley_etf")
+    return Frame(a, kind="paley_etf")  # Fortran-ordered like eigh's vectors, so copied
 
 
 def welch_bound(n, m):

@@ -77,10 +77,11 @@ def mlie_gradient(frame_or_array, patterns):
     scale = 0.5 * (m / n) / len(patterns)
     grad = np.zeros_like(a)
     trmm = spectral.routines(a.dtype)["trmm"]
-    for rows, a_s, inv_low, eta in spectral.factored(a, patterns):
+    for rows, inv_low, eta in spectral.factored(a, patterns):
         if math.isinf(eta):
             raise SingularPatternError(
                 f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
+        a_s = a[rows]  # `factored` keeps no A_s
         if inv_low is None:  # no factor, finite by the eigen route
             core = spectral.gram_solve(a_s, spectral.gram_solve(a_s, a_s))
         else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}

@@ -12,7 +12,9 @@ submatrices report eta = inf rather than an overflow artifact.
 One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
 set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (`gram`
 forms the conjugate; potrf zeroes L's strict upper triangle), and reads
-eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
+eta = ||L^{-1}||_F^2 / m off the inverse factor.  It yields (rows, L^{-1},
+eta) and drops A_s as soon as the Gram is formed, so A_s is never held next
+to L^{-1} and the copy its dot product reads.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so they
 agree bit for bit.  There is one singularity policy: `cholesky` gives no
 factor when potrf fails or its squared pivot ratio is under sqrt(eps), and
@@ -196,34 +198,39 @@ def gram_solve(a_s, b):
 
 
 def factored(data, idx):
-    """Per pattern of the (T, k) set `idx` over the frame rows `data`: its
-    rows in canonical order, A_s, L^{-1} for the Cholesky factor L of
-    conj(G), G = A_s A_s', and eta_s = ||L^{-1}||_F^2 / m.  L^{-1} is lower
-    triangular with an exactly zero strict upper triangle: `cholesky` zeroes
-    it and trtri writes only the lower one.  Without a `cholesky` factor
-    L^{-1} is None and the eigenvalue route (`gram_eigenvalues`) owns the
-    singular/finite decision.  One `routines` table serves the whole set.
+    """Per pattern of the (T, k) set `idx` over the frame rows `data`, the
+    triple (rows, L^{-1}, eta_s): the pattern's rows in canonical order, the
+    inverse of the Cholesky factor L of conj(G), G = A_s A_s', and
+    eta_s = ||L^{-1}||_F^2 / m.  L^{-1} is lower triangular with an exactly
+    zero strict upper triangle: `cholesky` zeroes it and trtri writes only
+    the lower one.  Without a `cholesky` factor L^{-1} is None and the
+    eigenvalue route (`gram_eigenvalues`) owns the singular/finite decision.
+    One `routines` table serves the whole set.
+
+    A_s = data[rows] is not kept: it is freed once its Gram is formed, so
+    trtri and the copy `ravel` makes of the Fortran-ordered L^{-1} reuse its
+    memory instead of adding to it.  A caller that needs A_s (the gradient)
+    gathers data[rows] itself.
     """
     data = frame_rows(data)
     m = data.shape[1]
     fn = routines(data.dtype)
     for rows in canonical_rows(data, idx):
-        a_s = data[rows]
-        low = cholesky(gram(a_s))
+        low = cholesky(gram(data[rows]))
         if low is None:
-            yield rows, a_s, None, gram_eigenvalues(data, rows).eta
+            yield rows, None, gram_eigenvalues(data, rows).eta
             continue
         inv_low, info = fn["trtri"](low, lower=1, overwrite_c=1)
         if info:
             raise ValueError(f"trtri failed with info={info}")
         x = inv_low.ravel()
-        yield rows, a_s, inv_low, float(fn["dot"](x, x).real) / m
+        yield rows, inv_low, float(fn["dot"](x, x).real) / m
 
 
 def inverse_energy(frame, pattern):
     """eta_s via a Cholesky factorization of the pattern Gram (`factored`);
     inf when singular."""
-    return next(factored(frame.data, [pattern]))[3]
+    return next(factored(frame.data, [pattern]))[2]
 
 
 # --- Marchenko--Pastur (i.i.d. frames), aspect ratio 1/beta ------------------

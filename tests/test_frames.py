@@ -308,6 +308,7 @@ _C_ORDER_BUILDS = {
 def test_frames_store_c_ordered_rows(label, tmp_path):
     # a frame stored in Fortran order made every canonical_rows call copy it
     f = _C_ORDER_BUILDS[label]()
+    assert not f.data.flags.writeable and f.data.base is None
     path = tmp_path / "f.frame"
     frames.save_frame(f, path)
     fortran = frames.Frame(np.asfortranarray(f.data), kind=f.kind, spectrum=f.spectrum,
@@ -318,6 +319,88 @@ def test_frames_store_c_ordered_rows(label, tmp_path):
         assert g.data.flags.c_contiguous
         assert np.array_equal(g.data, f.data)
         assert [spectral.inverse_energy(g, s) for s in pats] == etas
+
+
+def test_frame_copies_writeable_input():
+    a = np.array(frames.build_dss(7).data)
+    f = frames.Frame(a)
+    kept = f.data.copy()
+    a[0, 0] = 0.5
+    assert f.data is not a and f.data.base is None
+    assert np.array_equal(f.data, kept)
+
+
+def test_frame_copies_read_only_view_of_writeable_base():
+    base = np.array(frames.build_dss(7).data)
+    view = base[:]
+    view.setflags(write=False)
+    f = frames.Frame(view)
+    kept = f.data.copy()
+    base[0, 0] = 0.5
+    assert f.data.base is None
+    assert np.array_equal(f.data, kept)
+
+
+def test_frame_keeps_frozen_owned_input():
+    a = np.array(frames.build_dss(7).data)
+    a.setflags(write=False)
+    assert frames.Frame(a).data is a
+    f = frames.build_dss(7)
+    assert frames.Frame(f.data, kind=f.kind, spectrum=f.spectrum).data is f.data
+
+
+def _roots_formula(n, spec):
+    """The DFT-family frame as one gather from two n x m index tables."""
+    t = np.arange(n)[:, None]
+    f = np.array(spec, dtype=np.int64)[None, :]
+    roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(len(spec))
+    return roots[t * f % n]
+
+
+def _iid_formula(n, m, field, seed):
+    rng = np.random.default_rng(seed)
+    if field == "real":
+        return rng.standard_normal((n, m)) / np.sqrt(m)
+    return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2 * m)
+
+
+def _paley_formula(n):
+    c = frames.conference_matrix(n)
+    w, v = np.linalg.eigh(np.eye(n) + c / np.sqrt(n - 1))
+    a = np.sqrt(2.0) * v[:, w > 1.0]
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+_SPEC = {n: sorted(np.random.default_rng(n).choice(n, n // 2, replace=False).tolist())
+         for n in (13, 947)}
+
+_FORMULA_CASES = {
+    "bl13_7": (lambda: frames.build_bandlimited_dft(13, 7), lambda: _roots_formula(13, range(7))),
+    "bl947_473": (lambda: frames.build_bandlimited_dft(947, 473),
+                  lambda: _roots_formula(947, range(473))),
+    "spectrum13": (lambda: frames.build_dft_spectrum(13, _SPEC[13]),
+                   lambda: _roots_formula(13, _SPEC[13])),
+    "spectrum947": (lambda: frames.build_dft_spectrum(947, _SPEC[947]),
+                    lambda: _roots_formula(947, _SPEC[947])),
+    "dss31": (lambda: frames.build_dss(31),
+              lambda: _roots_formula(31, frames.quadratic_difference_set(31).elements)),
+    "dss947": (lambda: frames.build_dss(947),
+               lambda: _roots_formula(947, frames.quadratic_difference_set(947).elements)),
+    "paley38": (lambda: frames.build_paley_etf(38), lambda: _paley_formula(38)),
+    **{f"iid_{field}_{n}x{m}_seed{seed}": (
+        lambda n=n, m=m, field=field, seed=seed: frames.build_random_iid(n, m, field, seed),
+        lambda n=n, m=m, field=field, seed=seed: _iid_formula(n, m, field, seed))
+       for field in ("real", "complex") for (n, m) in ((13, 7), (947, 473))
+       for seed in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FORMULA_CASES))
+def test_builder_equals_its_formula_byte_for_byte(label):
+    build, formula = _FORMULA_CASES[label]
+    got, want = build().data, formula()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_roundtrip_real_exact(tmp_path):
