@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import spectral
-from .frames import pattern_indices
+from .frames import check_patterns
 from .patterns import sample_pattern
 from .rd import wiener_alpha, wiener_distortion
 from .spectral import SingularPatternError
@@ -38,14 +38,13 @@ def encoder_matrix(frame, pattern):
     factor, the pattern is singular exactly when `spectral.gram_eigenvalues`
     gives eta = inf, and a finite one goes through `spectral.gram_solve`.
     """
-    idx = pattern_indices(pattern)
-    a_s = frame.submatrix(idx)
+    a_s = frame.submatrix(pattern)  # checks the pattern
     g = a_s @ a_s.conj().T
     low = spectral.cholesky((g + g.conj().T) / 2.0)
     if low is not None:
         return cho_solve((low, True), a_s, check_finite=False).conj().T
-    if math.isinf(spectral.gram_eigenvalues(frame, idx).eta):
-        raise SingularPatternError(f"pattern {idx} is numerically rank deficient")
+    if math.isinf(spectral.gram_eigenvalues(frame, pattern).eta):
+        raise SingularPatternError(f"pattern {pattern} is numerically rank deficient")
     return spectral.gram_solve(a_s, a_s).conj().T
 
 
@@ -116,15 +115,13 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     complex_field = frame.field == "complex"
     alpha = wiener_alpha(sigma_x2, sigma_q2)
 
-    fixed = None
-    if pattern is not None:
-        fixed = pattern_indices(pattern)
-        if len(fixed) != k or len(set(fixed)) != k or min(fixed) < 0 or max(fixed) >= n:
-            raise ValueError(f"fixed pattern {fixed} needs {k} distinct indices in [0, {n})")
-    elif k == n:
-        fixed = tuple(range(n))  # the one pattern there is
+    if pattern is None and k == n:
+        pattern = range(n)  # the one pattern there is
     # (pattern, rng, rows): a block of `rows` trials whose x and q come from rng
-    if fixed is not None:
+    if pattern is not None:
+        fixed = tuple(check_patterns(n, [pattern])[0].tolist())  # the tally key
+        if len(fixed) != k:
+            raise ValueError(f"fixed pattern {fixed} has {len(fixed)} indices, need k={k}")
         blocks = [(fixed, np.random.default_rng(seed), trials)]
     else:
         blocks = ((sample_pattern(n, k, seed=(seed, t, 1)), np.random.default_rng((seed, t)), 1)
@@ -139,8 +136,8 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
         try:
             b = encoder_matrix(frame, idx)
         except SingularPatternError:
-            if fixed is not None:
-                raise SingularPatternError(f"fixed pattern {fixed} is singular") from None
+            if pattern is not None:
+                raise SingularPatternError(f"fixed pattern {idx} is singular") from None
             continue
         a_s = frame.submatrix(idx)
         eta = float(np.vdot(b, b).real) / m

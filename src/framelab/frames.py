@@ -26,7 +26,9 @@ __all__ = [
     "DifferenceSet",
     "ETFReport",
     "FrameError",
+    "PatternError",
     "frame_rows",
+    "check_patterns",
     "build_bandlimited_dft",
     "build_random_iid",
     "build_dft_spectrum",
@@ -36,7 +38,6 @@ __all__ = [
     "conference_matrix",
     "welch_bound",
     "verify_etf",
-    "pattern_indices",
     "save_frame",
     "load_frame",
 ]
@@ -60,10 +61,23 @@ def _frozen(a):
     return a
 
 
-def pattern_indices(pattern):
-    """The row indices of a pattern (any sequence of ints, a row of a
-    pattern-set array included) as a tuple of ints, in the given order."""
-    return tuple(np.asarray(pattern, dtype=np.intp).tolist())
+class PatternError(IndexError, ValueError):
+    """Indices `check_patterns` refuses; an IndexError when out of range."""
+
+
+def check_patterns(n, idx):
+    """The one pattern check: `idx` as a non-empty (T, k) intp array of indices
+    in [0, n), none repeated in a row, rows as given; one pattern is `[pattern]`."""
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.size == 0:
+        raise PatternError("empty pattern" if idx.size == 0 else "need a (T, k) pattern set")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise PatternError(f"pattern indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise PatternError(f"pattern index out of range for n={n}")
+    if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
+        raise PatternError("repeated pattern index")
+    return idx.astype(np.intp, copy=False)
 
 
 def _is_prime(p):
@@ -131,12 +145,9 @@ class Frame:
     def field(self):
         return "complex" if np.iscomplexobj(self.data) else "real"
 
-    def submatrix(self, indices):
-        """Rows of the frame at the given (pattern) indices, as an array."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise IndexError("pattern index out of range")
-        return self.data[idx]
+    def submatrix(self, pattern):
+        """The pattern's rows in the order given; `check_patterns` checks it."""
+        return self.data[check_patterns(self.n, [pattern])[0]]
 
 
 def build_bandlimited_dft(n, m) -> Frame:

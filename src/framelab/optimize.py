@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, frame_rows
-from .patterns import ENUMERATION_GUARD, mlie_bits, pattern_set
+from .frames import Frame, check_patterns, frame_rows
+from .patterns import mlie_bits, pattern_set
 from . import spectral
 from .spectral import SingularPatternError
 
@@ -74,7 +74,7 @@ def mlie_gradient(frame_or_array, patterns):
     """
     a = frame_rows(frame_or_array)
     n, m = a.shape
-    scale = 0.5 * (m / n) / len(patterns)
+    scale = 0.5 * (m / n) / len(check_patterns(n, patterns))
     grad = np.zeros_like(a)
     trmm = spectral.routines(a.dtype)["trmm"]
     for rows, inv_low, eta in spectral.factored(a, patterns):
@@ -94,11 +94,11 @@ def mlie_gradient(frame_or_array, patterns):
     return grad
 
 
-def _start(frame, k, mode, pattern_budget, seed, max_exhaustive):
+def _start(frame, k, mode, pattern_budget, seed):
     """The frame projected onto the unit-row manifold, its fixed pattern set
     and mode, and rho there, which must be finite."""
     a = project_rows(np.array(frame_rows(frame)))
-    pats, mode = pattern_set(len(a), k, mode, pattern_budget, seed, max_exhaustive)
+    pats, mode = pattern_set(len(a), k, mode, pattern_budget, seed)
     rho0 = sampled_mlie(a, pats)
     if math.isinf(rho0):
         raise SingularPatternError("start frame is rank deficient on the pattern set")
@@ -140,8 +140,9 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
         raise ValueError(f"step must be finite and positive, got {step_init}")
     if max_iters < 0:
         raise ValueError(f"iterations must be at least 0, got {max_iters}")
-    # exhaustive only when C(n, k) fits the budget too
-    a, pats, mode, rho0 = _start(frame, k, "auto", pattern_budget, seed, pattern_budget)
+    # exhaustive only when C(n, k) fits the budget too ('auto' adds the guard)
+    mode = "auto" if math.comb(len(frame_rows(frame)), k) <= pattern_budget else "sampled"
+    a, pats, mode, rho0 = _start(frame, k, mode, pattern_budget, seed)
     rho = rho0
     steps = []
     history = [rho0]
@@ -205,8 +206,7 @@ def verify_local_min(frame, k, epsilons=(1e-3, 1e-2), trials=200, seed=0,
         raise ValueError(f"epsilons must be finite and positive, got {tuple(epsilons)}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    a, pats, pattern_mode, rho0 = _start(frame, k, mode, pattern_budget, seed,
-                                         ENUMERATION_GUARD)
+    a, pats, pattern_mode, rho0 = _start(frame, k, mode, pattern_budget, seed)
     verdicts = []
     complex_field = np.iscomplexobj(a)
     for e_i, eps in enumerate(epsilons):

@@ -1,7 +1,7 @@
 """Erasure patterns and aggregate inverse-energy statistics.
 
-A pattern is the set of k row indices declared important, held as an
-increasing tuple of ints; a pattern set is the (T, k) int array from
+A pattern is the set of k row indices declared important, as integers that
+`frames.check_patterns` accepts; a pattern set is the (T, k) int array from
 `pattern_set`.  Statistics over patterns — exhaustive when C(n, k) is
 small, Monte Carlo otherwise — drive the inverse-energy histograms and the
 mean logarithmic inverse energy
@@ -58,11 +58,11 @@ _MODES = {"auto": "auto", "exhaustive": "exhaustive", "sampled": "sampled",
           "monte_carlo": "sampled", "mc": "sampled"}
 
 
-def pattern_set(n, k, mode="auto", trials=2000, seed=0, max_exhaustive=ENUMERATION_GUARD):
+def pattern_set(n, k, mode="auto", trials=2000, seed=0):
     """(T, k) int array of k-patterns of [0, n), one increasing row each, and
     its mode: 'exhaustive' (all C(n, k) in lexicographic order, guard applies)
     or 'sampled' (`trials` rows, row t = sample_pattern(n, k, seed=(seed, t))).
-    'auto' enumerates when C(n, k) <= min(max_exhaustive, ENUMERATION_GUARD)."""
+    'auto' enumerates when C(n, k) <= ENUMERATION_GUARD."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < k <= n:
@@ -70,7 +70,7 @@ def pattern_set(n, k, mode="auto", trials=2000, seed=0, max_exhaustive=ENUMERATI
     count = math.comb(n, k)
     mode = _MODES[mode]
     if mode == "auto":
-        mode = "exhaustive" if count <= min(max_exhaustive, ENUMERATION_GUARD) else "sampled"
+        mode = "exhaustive" if count <= ENUMERATION_GUARD else "sampled"
     if mode == "sampled":
         if trials < 1:
             raise ValueError(f"a sampled pattern set needs trials >= 1, got {trials}")

@@ -10,22 +10,20 @@ with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
 One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
-set by `canonical_rows`, factors conj(G) = L L' for G = A_s A_s' (`gram`
-forms the conjugate; potrf zeroes L's strict upper triangle), and reads
-eta = ||L^{-1}||_F^2 / m off the inverse factor.  It yields (rows, L^{-1},
-eta) and drops A_s as soon as the Gram is formed, so A_s is never held next
-to L^{-1} and the copy its dot product reads.  `inverse_energy` (ie-hist,
-mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so they
-agree bit for bit.  There is one singularity policy: `cholesky` gives no
-factor when potrf fails or its squared pivot ratio is under sqrt(eps), and
-then `gram_eigenvalues` decides singular (eta = inf) or finite, here and in
-`coder.encoder_matrix`; `gram_solve` is the one solve for a finite pattern
-without a factor.  Where a finite eta is needed, a singular pattern
-raises `SingularPatternError`.  Every route reads frame rows through
-`frames.frame_rows`, in float64 or complex128, and calls BLAS and LAPACK only
-through scipy, from one table for each (`routines`, so a pattern pays no
-lookup): numpy and scipy may load separate BLAS builds, each with its own
-thread pool, and handing one pattern's work from one pool to the other costs
+set by `canonical_rows` (whose indices `frames.check_patterns` checks),
+factors conj(G) = L L' for G = A_s A_s' (`gram` forms the conjugate in the
+lower triangle, zero above it), and reads eta = ||L^{-1}||_F^2 / m off the
+inverse factor.  `inverse_energy` (ie-hist, mlie), `optimize.sampled_mlie`
+and `optimize.mlie_gradient` share it, so they agree bit for bit.  There is
+one singularity policy: `cholesky` gives no factor when potrf fails or its
+squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
+singular (eta = inf) or finite, here and in `coder.encoder_matrix`;
+`gram_solve` is the one solve for a finite pattern without a factor.  Where a
+finite eta is needed, a singular pattern raises `SingularPatternError`.  Every
+route reads frame rows through `frames.frame_rows`, in float64 or complex128,
+and calls BLAS and LAPACK only through scipy, from one table for each
+(`routines`, so a pattern pays no lookup): numpy and scipy may load separate
+BLAS builds, and moving one pattern's work between their thread pools costs
 more than the arithmetic.
 
 The reference eigenvalue laws of the Grams A_s A_s' of random patterns, chosen
@@ -46,7 +44,7 @@ from functools import cache, partial
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
 
-from .frames import frame_rows
+from .frames import check_patterns, frame_rows
 
 __all__ = [
     "SingularPatternError",
@@ -99,14 +97,8 @@ def canonical_rows(data, idx):
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
     data = frame_rows(data)
-    idx = np.sort(np.asarray(idx, dtype=np.intp), axis=-1)
-    if idx.ndim != 2 or idx.size == 0:
-        raise ValueError("empty pattern" if idx.ndim == 2 else "need a (T, k) pattern set")
-    n, (t, k) = data.shape[0], idx.shape
-    if idx[:, 0].min() < 0 or idx[:, -1].max() >= n:
-        raise IndexError(f"pattern index out of range for n={n}")
-    if np.any(idx[:, 1:] == idx[:, :-1]):
-        raise ValueError("repeated pattern index")
+    idx = np.sort(check_patterns(len(data), idx), axis=1)
+    n, (t, k) = len(data), idx.shape
     # One lexsort orders the whole set, the pattern as primary key.  Once the
     # leading keys leave no two rows of a pattern tied, the later keys never
     # decide a comparison and the short sort is the full one.  Patterns with
@@ -149,9 +141,9 @@ def cholesky(g):
     """Lower Cholesky factor of the Hermitian matrix g, or None when potrf
     finds g not positive definite or the squared pivot ratio is under
     sqrt(eps): then only `gram_eigenvalues` can decide singular vs finite.
-    potrf reads the lower triangle, zeroes the strict upper one (clean=1),
-    and factors a Fortran-ordered g (so any 1 x 1 g) in place."""
-    low, info = routines(g.dtype)["potrf"](g, lower=1, clean=1, overwrite_a=1)
+    potrf (clean=0) factors a Fortran-ordered g (so any 1 x 1 g) in place and
+    leaves its strict upper triangle, which `gram` zeroes and no solve reads."""
+    low, info = routines(g.dtype)["potrf"](g, lower=1, clean=0, overwrite_a=1)
     if info < 0:
         raise ValueError(f"potrf: illegal argument {-info}")
     # A squared pivot ratio x leaves rounding of about eps/x in the later
@@ -201,11 +193,10 @@ def factored(data, idx):
     """Per pattern of the (T, k) set `idx` over the frame rows `data`, the
     triple (rows, L^{-1}, eta_s): the pattern's rows in canonical order, the
     inverse of the Cholesky factor L of conj(G), G = A_s A_s', and
-    eta_s = ||L^{-1}||_F^2 / m.  L^{-1} is lower triangular with an exactly
-    zero strict upper triangle: `cholesky` zeroes it and trtri writes only
-    the lower one.  Without a `cholesky` factor L^{-1} is None and the
-    eigenvalue route (`gram_eigenvalues`) owns the singular/finite decision.
-    One `routines` table serves the whole set.
+    eta_s = ||L^{-1}||_F^2 / m.  L^{-1} has an exactly zero strict upper
+    triangle: `gram` leaves it zero, and potrf and trtri write only the lower
+    one.  Without a `cholesky` factor L^{-1} is None and the eigenvalue route
+    (`gram_eigenvalues`) owns the singular/finite decision.
 
     A_s = data[rows] is not kept: it is freed once its Gram is formed, so
     trtri and the copy `ravel` makes of the Fortran-ordered L^{-1} reuse its

@@ -108,7 +108,7 @@ def _reference_simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=No
         return cache[idx]
 
     if pattern is not None:
-        fixed = frames.pattern_indices(pattern)
+        fixed = tuple(int(i) for i in pattern)
         a_s, b, eta = lookup(fixed)
         rng = np.random.default_rng(seed)
         x = coder._draw(rng, (trials, k), sigma_x2, cplx)

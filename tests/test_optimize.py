@@ -174,10 +174,15 @@ def test_project_rows_idempotent_and_exact_on_unit_rows():
 
 def test_fixed_pattern_set_modes():
     # local_search's set: exhaustive only when C(n, k) fits the budget
-    pats, mode = patterns.pattern_set(7, 2, "auto", 100, max_exhaustive=100)
-    assert mode == "exhaustive" and len(pats) == 21
-    pats, mode = patterns.pattern_set(13, 5, "auto", 300, seed=0, max_exhaustive=300)
-    assert mode == "sampled" and len(pats) == 300
+    rep, _ = optimize.local_search(frames.build_bandlimited_dft(7, 4), 2, pattern_budget=100,
+                                   max_iters=0)
+    assert rep.pattern_mode == "exhaustive" and rep.pattern_count == 21
+    rep, _ = optimize.local_search(frames.build_bandlimited_dft(7, 4), 2, pattern_budget=20,
+                                   max_iters=0)
+    assert rep.pattern_mode == "sampled" and rep.pattern_count == 20
+    rep, _ = optimize.local_search(frames.build_bandlimited_dft(13, 7), 5, pattern_budget=300,
+                                   max_iters=0)
+    assert rep.pattern_mode == "sampled" and rep.pattern_count == 300
 
 
 def test_local_search_descends_on_bandlimited():

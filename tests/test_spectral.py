@@ -182,6 +182,53 @@ def test_canonical_rows_checks_the_whole_set():
         spectral.canonical_rows(data, np.zeros((0, 2), dtype=int))
 
 
+def test_check_patterns_keeps_order_and_names_the_fault():
+    idx = frames.check_patterns(8, [(3, 1), (7, 0)])
+    assert idx.dtype == np.intp and idx.tolist() == [[3, 1], [7, 0]]
+    assert frames.check_patterns(8, np.array([[5]], dtype=np.uint8)).dtype == np.intp
+    assert issubclass(frames.PatternError, IndexError)
+    assert issubclass(frames.PatternError, ValueError)
+    for bad, match in [([(0, 9)], "out of range for n=8"), ([(2, 2)], "repeated"),
+                       ([(1.0, 2.0)], "dtype float64"), ([(True, False)], "dtype bool"),
+                       ([("1", "2")], "dtype <U1"), ([], "empty pattern"),
+                       ([()], "empty pattern"), ((1, 2), r"\(T, k\) pattern set")]:
+        with pytest.raises(frames.PatternError, match=match):
+            frames.check_patterns(8, bad)
+
+
+# every route into a pattern's rows, called on one pattern s of dss7
+_PATTERN_ROUTES = {
+    "inverse_energy": spectral.inverse_energy,
+    "gram_eigenvalues": spectral.gram_eigenvalues,
+    "sampled_mlie": lambda f, s: optimize.sampled_mlie(f, [s]),
+    "mlie_gradient": lambda f, s: optimize.mlie_gradient(f, [s]),
+    "submatrix": lambda f, s: f.submatrix(s),
+    "encoder_matrix": coder.encoder_matrix,
+    "simulate": lambda f, s: coder.simulate(f, 2, 1.0, 1.0, 3, pattern=s),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_PATTERN_ROUTES))
+@pytest.mark.parametrize("pattern, match", [
+    ((1.7, 2), "integers, got dtype float64"),  # not to be read as (1, 2)
+    (np.arange(7) < 2, "integers, got dtype bool"),  # a mask, not the indices 1 and 0
+    ((1, 7), "out of range"),
+    ((4, 4), "repeated"),
+])
+def test_every_route_refuses_what_check_patterns_refuses(route, pattern, match):
+    f = frames.build_dss(7)
+    with pytest.raises(frames.PatternError, match=match):
+        _PATTERN_ROUTES[route](f, pattern)
+
+
+def test_empty_patterns_are_named():
+    f = frames.build_dss(7)
+    with pytest.raises(frames.PatternError, match="empty pattern"):
+        coder.encoder_matrix(f, [])
+    with pytest.raises(ValueError, match="empty pattern"):
+        optimize.mlie_gradient(f, [])  # checked before it scales by 1/len
+
+
 @pytest.mark.parametrize("label", sorted(_family_frames()))
 def test_inverse_energy_matches_eigen_route_per_family(label):
     f = _family_frames()[label]
@@ -329,16 +376,22 @@ def test_factored_zero_upper_bitwise_equals_old_factor(label):
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("layout", ["C", "F", "k1"])
 def test_cholesky_factor_has_zero_upper_triangle(complex_field, layout):
-    # C: the encoder's symmetrized numpy Gram; F: a full Fortran-ordered Gram
+    # C: the encoder's symmetrized numpy Gram; F: a full Fortran-ordered Gram.
+    # potrf runs with clean=0: the lower triangle is clean=1's bit for bit,
+    # and only the factor of `gram`'s own output has a zero upper triangle.
     f = random_unit_frame(9, 6, 18, complex_field)
     a_s = f.data[:1] if layout == "k1" else f.data[:5]
     g = a_s @ a_s.conj().T
     g = (g + g.conj().T) / 2.0 if layout == "C" else np.asfortranarray(g)
-    old, info = get_lapack_funcs(("potrf",), (g,))[0](g.copy(order="F"), lower=1, clean=0)
-    assert info == 0 and (layout == "k1" or np.triu(old, 1).any())
+    potrf = get_lapack_funcs(("potrf",), (g,))[0]
+    clean, info = potrf(g.copy(order="F"), lower=1, clean=1)
+    assert info == 0
+    assert np.array_equal(np.tril(spectral.cholesky(g)), clean)
+    g = spectral.gram(a_s)
+    clean, info = potrf(g.copy(order="F"), lower=1, clean=1)
+    assert info == 0
     low = spectral.cholesky(g)
-    assert not np.triu(low, 1).any()
-    assert np.array_equal(low, np.tril(old))
+    assert not np.triu(low, 1).any() and np.array_equal(low, clean)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -545,8 +598,11 @@ def test_cholesky_factor_or_none(theta):
         assert low is None
         assert np.linalg.cholesky(g)[1, 1] ** 2 <= 2.6e-11
     else:
-        assert not np.triu(low, 1).any()
-        assert np.allclose(low @ low.T, g, rtol=0.0, atol=1e-15)
+        # clean=0 keeps g's upper triangle; the factor is the lower one
+        clean, info = get_lapack_funcs(("potrf",), (g,))[0](np.array(g, order="F"), clean=1,
+                                                            lower=1)
+        assert info == 0 and np.array_equal(np.tril(low), clean)
+        assert np.allclose(np.tril(low) @ np.tril(low).T, g, rtol=0.0, atol=1e-15)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans())
