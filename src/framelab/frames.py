@@ -7,7 +7,8 @@ frame elements, n >= m.  Families provided:
   * random i.i.d.       -- Gaussian entries of variance 1/m
   * DFT spectrum        -- arbitrary m-subset of IDFT columns
   * DSS                 -- DFT spectrum on a quadratic difference set
-  * Paley real ETF      -- from a symmetric conference matrix
+  * Paley real ETF      -- closed form, read off the DFT that diagonalizes
+                           the Legendre core of a symmetric conference matrix
 
 plus certification helpers (Welch-bound equiangularity, tightness) and a
 plain-text serialization format.
@@ -170,17 +171,25 @@ def build_dft_spectrum(n, spectrum, kind="dft_spectrum") -> Frame:
         raise FrameError("duplicate spectrum index")
     if any(not 0 <= f < n for f in spec):
         raise FrameError("spectrum index out of range")
-    # exp(2 pi i t f / n) is the n-th root of unity at t f mod n; reducing
-    # t f exactly in integers keeps every exp argument below 2 pi.  The
-    # gather runs _GATHER_ROWS rows at a time into the frame's own buffer, so
-    # no n x m index table is ever formed.
-    f = np.array(spec, dtype=np.int64)
-    roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(m)
-    a = np.empty((n, m), dtype=np.complex128)
+    a = _gather_roots(n, spec, np.sqrt(m), np.empty((n, m), dtype=np.complex128))
+    return Frame(_frozen(a), kind=kind, spectrum=spec)
+
+
+def _gather_roots(n, f, norm, out):
+    """Fill out[t, j] = exp(2 pi i t f[j] / n) / norm for t in [0, n): the one
+    gather of every structured frame.  Returns out.
+
+    exp(2 pi i t f / n) is the n-th root of unity at t f mod n; reducing t f
+    exactly in integers keeps every exp argument below 2 pi.  The gather runs
+    _GATHER_ROWS rows at a time straight into out, so no n x len(f) index
+    table or scratch block is formed.  Dividing by norm, rather than
+    multiplying by its inverse, fixes the frames' bits."""
+    f = np.asarray(f, dtype=np.int64)
+    roots = np.exp(2j * np.pi * np.arange(n) / n) / norm
     for lo in range(0, n, _GATHER_ROWS):
         t = np.arange(lo, min(lo + _GATHER_ROWS, n))[:, None]
-        np.take(roots, t * f % n, out=a[lo:lo + t.size])
-    return Frame(_frozen(a), kind=kind, spectrum=spec)
+        np.take(roots, t * f % n, out=out[lo:lo + t.size])
+    return out
 
 
 def build_random_iid(n, m, field="real", seed=0) -> Frame:
@@ -236,16 +245,21 @@ class DifferenceSet:
         return np.rint(corr).astype(np.int64)
 
 
+def _quadratic_residues(p, r, name="p"):
+    """The nonzero squares mod p, sorted, for a prime p = r (mod 4)."""
+    if not _is_prime(p):
+        raise FrameError(f"{name}={p} is not prime")
+    if p % 4 != r:
+        raise FrameError(f"{name}={p} is not {r} mod 4")
+    # squaring 1..p-1 covers each residue twice
+    return tuple(sorted({x * x % p for x in range(1, p)}))
+
+
 def quadratic_difference_set(p) -> DifferenceSet:
     """Quadratic residues mod a prime p = 3 (mod 4): an
     (n=p, m=(p-1)/2, lam=(p-3)/4) difference set."""
-    if not _is_prime(p):
-        raise FrameError(f"p={p} is not prime")
-    if p % 4 != 3:
-        raise FrameError(f"p={p} is not 3 mod 4 (lam would not be an integer)")
-    # squaring 1..p-1 covers each residue twice
-    elements = tuple(sorted({x * x % p for x in range(1, p)}))
-    return DifferenceSet(n=p, m=(p - 1) // 2, lam=(p - 3) // 4, elements=elements)
+    return DifferenceSet(n=p, m=(p - 1) // 2, lam=(p - 3) // 4,
+                         elements=_quadratic_residues(p, 3))
 
 
 def build_dss(p) -> Frame:
@@ -255,15 +269,11 @@ def build_dss(p) -> Frame:
 
 
 def conference_matrix(n):
-    """Symmetric conference matrix of order n = q+1, q = 1 (mod 4) prime:
-    zero diagonal, +-1 off-diagonal, C C' = (n-1) I."""
+    """Symmetric conference matrix of order n = q+1, q = 1 (mod 4) prime
+    (Paley, 1933): zero diagonal, +-1 off-diagonal, C C' = (n-1) I."""
     q = n - 1
-    if not _is_prime(q):
-        raise FrameError(f"order {n}: q = n-1 = {q} is not prime (prime powers unsupported)")
-    if q % 4 != 1:
-        raise FrameError(f"order {n}: q = {q} is not 1 mod 4, no symmetric conference matrix here")
     chi = -np.ones(q)
-    chi[list({x * x % q for x in range(1, q)})] = 1.0
+    chi[list(_quadratic_residues(q, 1, "q = n-1"))] = 1.0
     chi[0] = 0.0
     # circulant Legendre core: Q[i, j] = chi(j - i)
     idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
@@ -278,19 +288,25 @@ def conference_matrix(n):
 def build_paley_etf(n) -> Frame:
     """Real equiangular tight frame of n unit vectors in dimension n/2.
 
-    The Gram matrix is G = I + C/sqrt(n-1) with C a symmetric conference
-    matrix; G has eigenvalues {0, 2} with equal multiplicity, and the frame is
-    sqrt(2) times an orthonormal basis of the 2-eigenspace, read off rows.
+    Its Gram is G = I + C/sqrt(q), q = n-1, for the symmetric conference
+    matrix C of `conference_matrix` (Strohmer and Heath, "Grassmannian frames
+    with applications to coding and communication", 2003); the frame is
+    sqrt(2) times an orthonormal basis of G's 2-eigenspace, read off rows.
+    The DFT diagonalizes C's circulant Legendre core, with eigenvalue
+    chi(f) sqrt(q) at frequency f != 0, so that eigenspace has a closed form:
+    row 0 is e_0, and row t+1 is 1/sqrt(q), then 2/sqrt(q) times
+    cos(2 pi t f / q) and sin(2 pi t f / q) in its odd and even columns, for
+    each quadratic residue f < q/2 (one of each residue pair {f, q-f}).
     """
-    c = conference_matrix(n)
-    g = np.eye(n) + c / np.sqrt(n - 1)
-    w, v = np.linalg.eigh(g)
-    a = np.sqrt(2.0) * v[:, w > 1.0]
-    if a.shape[1] != n // 2:
-        raise FrameError("conference Gram did not split evenly")  # pragma: no cover
-    # eigensolver leaves row norms at 1 up to rounding; snap them exactly
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    return Frame(a, kind="paley_etf")  # Fortran-ordered like eigh's vectors, so copied
+    q = n - 1
+    f = [x for x in _quadratic_residues(q, 1, "q = n-1") if 2 * x < q]
+    a = np.zeros((n, n // 2))
+    a[0, 0] = 1.0
+    a[1:, 0] = 1.0 / np.sqrt(q)
+    # (cos, sin) pairs in adjacent columns are complex128's own layout, so
+    # the gather writes them through a complex view of the real buffer
+    _gather_roots(q, f, np.sqrt(q) / 2, a[1:, 1:].view(np.complex128))
+    return Frame(_frozen(a), kind="paley_etf")
 
 
 def welch_bound(n, m):

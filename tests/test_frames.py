@@ -153,12 +153,15 @@ def test_paley_etf_n14_tight():
     assert np.abs(gram_cols - 2.0 * np.eye(7)).max() < 1e-10
 
 
-def test_paley_gram_structure():
-    f = frames.build_paley_etf(14)
-    gram = f.data @ f.data.T
-    assert np.abs(np.diag(gram) - 1.0).max() < 1e-10
-    off = np.abs(gram[~np.eye(14, dtype=bool)])
-    assert off.max() - off.min() < 1e-10
+@pytest.mark.parametrize("n", [6, 14, 38, 998])
+def test_paley_gram_structure(n):
+    # G = I + C/sqrt(q) for the independent conference matrix, and A'A = 2I
+    f = frames.build_paley_etf(n)
+    c = frames.conference_matrix(n)
+    assert np.abs(f.data @ f.data.T - (np.eye(n) + c / np.sqrt(n - 1))).max() < 1e-14
+    assert np.abs(f.data.T @ f.data - 2.0 * np.eye(n // 2)).max() < 1e-12
+    rep = frames.verify_etf(f)
+    assert rep.is_tight and rep.is_equiangular
 
 
 def test_paley_rejects_unsupported_orders():
@@ -349,11 +352,11 @@ def test_frame_keeps_frozen_owned_input():
     assert frames.Frame(f.data, kind=f.kind, spectrum=f.spectrum).data is f.data
 
 
-def _roots_formula(n, spec):
+def _roots_formula(n, spec, norm=None):
     """The DFT-family frame as one gather from two n x m index tables."""
     t = np.arange(n)[:, None]
     f = np.array(spec, dtype=np.int64)[None, :]
-    roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(len(spec))
+    roots = np.exp(2j * np.pi * np.arange(n) / n) / (np.sqrt(len(spec)) if norm is None else norm)
     return roots[t * f % n]
 
 
@@ -365,10 +368,18 @@ def _iid_formula(n, m, field, seed):
 
 
 def _paley_formula(n):
-    c = frames.conference_matrix(n)
-    w, v = np.linalg.eigh(np.eye(n) + c / np.sqrt(n - 1))
-    a = np.sqrt(2.0) * v[:, w > 1.0]
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+    """The Paley frame in closed form from one full t*f % q table: row 0 is
+    e_0, row t+1 is 1/sqrt(q), then the real and imaginary parts of
+    exp(2 pi i t f / q) / (sqrt(q)/2) for each quadratic residue f < q/2."""
+    q = n - 1
+    residues = sorted({x * x % q for x in range(1, q)})
+    z = _roots_formula(q, [f for f in residues if 2 * f < q], np.sqrt(q) / 2)
+    a = np.zeros((n, n // 2))
+    a[0, 0] = 1.0
+    a[1:, 0] = 1.0 / np.sqrt(q)
+    a[1:, 1::2] = z.real
+    a[1:, 2::2] = z.imag
+    return a
 
 
 _SPEC = {n: sorted(np.random.default_rng(n).choice(n, n // 2, replace=False).tolist())

@@ -5,6 +5,10 @@ tests/golden/<case>/ byte for byte, apart from the timestamp line.  The same
 cases run once more in a subprocess with single-threaded BLAS, which must give
 the same bytes: the outputs may not depend on the BLAS thread count.
 
+The bytes hold on one machine and one OpenBLAS kernel family, which OpenBLAS
+picks from the CPU it starts on.  Under another family (another
+OPENBLAS_CORETYPE), 17 to 19 of the 22 golden files move in their last digits.
+
 The goldens are a record of what the program printed; regenerate them only
 for an intended output change, and say so in CHANGES.md:
 

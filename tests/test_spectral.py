@@ -316,6 +316,17 @@ def test_inverse_energy_calls_blas_only_through_scipy():
             assert token not in source, (fn.__name__, token)
 
 
+def test_frame_builders_call_no_eigensolver():
+    # every structured frame is read off the DFT in closed form
+    builders = [fn for name, fn in inspect.getmembers(frames, inspect.isfunction)
+                if name.startswith("build_")]
+    assert frames.build_paley_etf in builders
+    for fn in builders:
+        source = inspect.getsource(fn)
+        for token in ("np.linalg", "eigh"):
+            assert token not in source, (fn.__name__, token)
+
+
 def test_mlie_kernel_calls_blas_only_through_scipy():
     # the descent shares inverse_energy's factor: no Gram or eigensolver of its own
     for fn in (optimize.sampled_mlie, optimize.mlie_gradient):
