@@ -76,7 +76,8 @@ def check_patterns(n, idx):
         raise PatternError(f"pattern indices must be integers, got dtype {idx.dtype}")
     if idx.min() < 0 or idx.max() >= n:
         raise PatternError(f"pattern index out of range for n={n}")
-    if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
+    srt = np.sort(idx, axis=1)
+    if (srt[:, 1:] == srt[:, :-1]).any():
         raise PatternError("repeated pattern index")
     return idx.astype(np.intp, copy=False)
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .frames import Frame, check_patterns, frame_rows
+from .frames import Frame, frame_rows
 from .patterns import mlie_bits, pattern_set
 from . import spectral
 from .spectral import SingularPatternError
@@ -58,7 +59,8 @@ def sampled_mlie(frame_or_array, patterns):
     Summed by `patterns.mlie_bits`, as in `patterns.ie_statistics`, so the
     same set gives the same bits."""
     a = frame_rows(frame_or_array)
-    etas = [eta for *_, eta in spectral.factored(a, patterns)]
+    # itemgetter keeps no pattern's L^{-1} while the next one is factored
+    etas = list(map(itemgetter(2), spectral.factored(a, patterns)))
     if math.inf in etas:
         return math.inf
     return mlie_bits(etas, *a.shape)
@@ -74,24 +76,38 @@ def mlie_gradient(frame_or_array, patterns):
     """
     a = frame_rows(frame_or_array)
     n, m = a.shape
-    scale = 0.5 * (m / n) / len(check_patterns(n, patterns))
+    blocks = spectral.chunks(a, patterns)  # the one check of the set
+    scale = 0.5 * (m / n) / sum(map(len, blocks))
     grad = np.zeros_like(a)
+    for rows in blocks:
+        _add_block(grad, a, rows, scale)
+    return grad
+
+
+def _add_block(grad, a, rows, scale):
+    """Add one block of `spectral.chunks` to the gradient.  The block is
+    factored first, so `factor_rows` has freed its own gather; then the rows
+    are gathered once more and each A_s is turned into its scaled core in
+    place.  np.add.at adds the cores unbuffered, in pattern order: each entry
+    of grad sums its terms in the order a per-pattern loop would."""
+    m = a.shape[1]
+    factors = list(spectral.factor_rows(a, rows))
+    cores = a[rows]
     trmm = spectral.routines(a.dtype)["trmm"]
-    for rows, inv_low, eta in spectral.factored(a, patterns):
+    for a_s, (r, inv_low, eta) in zip(cores, factors):
         if math.isinf(eta):
             raise SingularPatternError(
-                f"singular pattern {tuple(sorted(rows.tolist()))} in gradient")
-        a_s = a[rows]  # `factored` keeps no A_s
+                f"singular pattern {tuple(sorted(r.tolist()))} in gradient")
         if inv_low is None:  # no factor, finite by the eigen route
             core = spectral.gram_solve(a_s, spectral.gram_solve(a_s, a_s))
         else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}
             core = a_s.T  # Fortran-ordered, multiplied in place
-            for trans in (2, 0, 2, 0):
-                core = trmm(1.0, inv_low, core, side=1, lower=1, trans_a=trans, overwrite_b=1)
+            for trans in (2, 0, 2, 0):  # side=1 (right), lower, trans_a, diag=0, overwrite_b
+                core = trmm(1.0, inv_low, core, 1, 1, trans, 0, 1)
             core = core.T
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
-        grad[rows] += scale / (eta * LOG2) * (-2.0 / m) * core
-    return grad
+        np.multiply(scale / (eta * LOG2) * (-2.0 / m), core, out=a_s)
+    np.add.at(grad, rows.ravel(), cores.reshape(-1, m))
 
 
 def _start(frame, k, mode, pattern_budget, seed):

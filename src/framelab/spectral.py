@@ -11,15 +11,17 @@ submatrices report eta = inf rather than an overflow artifact.
 
 One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
 set by `canonical_rows` (whose indices `frames.check_patterns` checks),
-factors conj(G) = L L' for G = A_s A_s' (`gram` forms the conjugate in the
-lower triangle, zero above it), and reads eta = ||L^{-1}||_F^2 / m off the
-inverse factor.  `inverse_energy` (ie-hist, mlie), `optimize.sampled_mlie`
-and `optimize.mlie_gradient` share it, so they agree bit for bit.  There is
-one singularity policy: `cholesky` gives no factor when potrf fails or its
-squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
-singular (eta = inf) or finite, here and in `coder.encoder_matrix`;
-`gram_solve` is the one solve for a finite pattern without a factor.  Where a
-finite eta is needed, a singular pattern raises `SingularPatternError`.  Every
+splits the set into `chunks` bounded in bytes, gathers each chunk's rows at
+once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
+the conjugate in the lower triangle, zero above it), and reads
+eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
+mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so
+they agree bit for bit.  There is one singularity policy: `cholesky` gives
+no factor when potrf fails or its squared pivot ratio is under sqrt(eps),
+and then `gram_eigenvalues` decides singular (eta = inf) or finite, here
+and in `coder.encoder_matrix`; `gram_solve` is the one solve for a finite
+pattern without a factor.  Where a finite eta is needed, a singular pattern
+raises `SingularPatternError`.  Every
 route reads frame rows through `frames.frame_rows`, in float64 or complex128,
 and calls BLAS and LAPACK only through scipy, from one table for each
 (`routines`, so a pattern pays no lookup): numpy and scipy may load separate
@@ -51,10 +53,12 @@ __all__ = [
     "EigenSample",
     "EigenHistogram",
     "canonical_rows",
+    "chunks",
     "gram",
     "gram_eigenvalues",
     "gram_solve",
     "factored",
+    "factor_rows",
     "inverse_energy",
     "eta_from_eigenvalues",
     "cholesky",
@@ -79,6 +83,12 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # the squared pivot ratio screen
 # band-limited frame has a constant column 0 (keys 0-1), so keys 2-3 are the
 # first to tell its rows apart.
 _LEADING_KEYS = 4
+
+# Bytes of one chunk of a pattern set: its gathered rows and their Grams (for
+# the gradient, its cores and inverse factors).  A small-k set pays its fixed
+# Python costs per chunk; a paper-size A_s (k = 378 at dss947, 2.9 MB) goes
+# alone, so it is freed before its factor is inverted.
+_CHUNK_BYTES = 1 << 20
 
 L1_SUBDIVISIONS = 16  # trapezoid panels per bin in l1_density_distance
 
@@ -129,7 +139,9 @@ def eta_from_eigenvalues(eigenvalues, m):
 @cache
 def routines(dtype):
     """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
-    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf and trtri."""
+    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf and trtri.  The
+    kernel passes their flags by position: f2py parses keywords at about
+    1 us a call, as long as a whole k = 5 potrf takes."""
     probe = np.empty(0, dtype)
     field = ("herk", "dotc") if np.iscomplexobj(probe) else ("syrk", "dot")
     blas = get_blas_funcs((*field, "trmm"), (probe,))
@@ -143,7 +155,7 @@ def cholesky(g):
     sqrt(eps): then only `gram_eigenvalues` can decide singular vs finite.
     potrf (clean=0) factors a Fortran-ordered g (so any 1 x 1 g) in place and
     leaves its strict upper triangle, which `gram` zeroes and no solve reads."""
-    low, info = routines(g.dtype)["potrf"](g, lower=1, clean=0, overwrite_a=1)
+    low, info = routines(g.dtype)["potrf"](g, 1, 0, 1)  # lower, clean=0, overwrite_a
     if info < 0:
         raise ValueError(f"potrf: illegal argument {-info}")
     # A squared pivot ratio x leaves rounding of about eps/x in the later
@@ -151,8 +163,9 @@ def cholesky(g):
     # (0, 1, 0), (sin e, cos e, 0), (1, 0, 0) span a plane, yet at e = 1e-5
     # the third pivot comes out near 3e-4.  At info == 0 the pivots are real
     # and positive.
-    d = low.diagonal().real
-    if info > 0 or d.min() ** 2 <= _SQRT_EPS * d.max() ** 2:
+    # Python floats: min/max over a list cost less than two numpy reductions.
+    d = low.diagonal().real.tolist()
+    if info > 0 or min(d) ** 2 <= _SQRT_EPS * max(d) ** 2:
         return None
     return low
 
@@ -169,7 +182,7 @@ def gram(a_s):
     """conj(G), G = A_s A_s', in the lower triangle (upper unset): the
     C-ordered A_s is the Fortran-ordered B = A_s^T, so herk/syrk forms
     B^H B = conj(G) without a copy.  conj(G) has G's eigenvalues and trace."""
-    return routines(a_s.dtype)["gram"](1.0, a_s.T, trans=2, lower=1)
+    return routines(a_s.dtype)["gram"](1.0, a_s.T, 0.0, None, 2, 1)  # beta=0, trans=2, lower
 
 
 def gram_eigenvalues(frame, pattern) -> EigenSample:
@@ -189,6 +202,40 @@ def gram_solve(a_s, b):
                          overwrite_a=True, check_finite=False))
 
 
+def chunks(data, idx):
+    """The canonical rows of the (T, k) pattern set `idx` (`canonical_rows`,
+    which checks the set) as consecutive (T_c, k) blocks: as many patterns as
+    keep their k x m rows and k x k Grams within _CHUNK_BYTES, and at least
+    one."""
+    data = frame_rows(data)
+    rows = canonical_rows(data, idx)
+    t, k = rows.shape
+    step = max(1, _CHUNK_BYTES // (k * (data.shape[1] + k) * data.itemsize))
+    return [rows[lo:lo + step] for lo in range(0, t, step)]
+
+
+def factor_rows(data, rows):
+    """`factored`'s triples for one block of canonical rows from `chunks`,
+    over frame rows as `frames.frame_rows` gives them.  One gather forms every
+    A_s of the block; it is dropped once their Grams are formed, and each
+    Gram is then factored in place."""
+    m = data.shape[1]
+    fn = routines(data.dtype)
+    a = data[rows]
+    grams = [gram(a_s) for a_s in a]
+    del a
+    for r, g in zip(rows, grams):
+        low = cholesky(g)
+        if low is None:
+            yield r, None, gram_eigenvalues(data, r).eta
+            continue
+        inv_low, info = fn["trtri"](low, 1, 0, 1)  # lower, unitdiag=0, overwrite_c
+        if info:
+            raise ValueError(f"trtri failed with info={info}")
+        x = inv_low.ravel()
+        yield r, inv_low, float(fn["dot"](x, x).real) / m
+
+
 def factored(data, idx):
     """Per pattern of the (T, k) set `idx` over the frame rows `data`, the
     triple (rows, L^{-1}, eta_s): the pattern's rows in canonical order, the
@@ -198,24 +245,14 @@ def factored(data, idx):
     one.  Without a `cholesky` factor L^{-1} is None and the eigenvalue route
     (`gram_eigenvalues`) owns the singular/finite decision.
 
-    A_s = data[rows] is not kept: it is freed once its Gram is formed, so
-    trtri and the copy `ravel` makes of the Fortran-ordered L^{-1} reuse its
-    memory instead of adding to it.  A caller that needs A_s (the gradient)
-    gathers data[rows] itself.
+    The set runs in `chunks`, each through `factor_rows`.  No A_s is kept:
+    a chunk's rows are freed once its Grams are formed, so trtri and the copy
+    `ravel` makes of the Fortran-ordered L^{-1} reuse their memory instead of
+    adding to it.  A caller that needs A_s (the gradient) gathers it itself.
     """
     data = frame_rows(data)
-    m = data.shape[1]
-    fn = routines(data.dtype)
-    for rows in canonical_rows(data, idx):
-        low = cholesky(gram(data[rows]))
-        if low is None:
-            yield rows, None, gram_eigenvalues(data, rows).eta
-            continue
-        inv_low, info = fn["trtri"](low, lower=1, overwrite_c=1)
-        if info:
-            raise ValueError(f"trtri failed with info={info}")
-        x = inv_low.ravel()
-        yield rows, inv_low, float(fn["dot"](x, x).real) / m
+    for rows in chunks(data, idx):
+        yield from factor_rows(data, rows)
 
 
 def inverse_energy(frame, pattern):

@@ -1,9 +1,10 @@
 """Allocation bounds at the paper's size (n = 947, k = 378), by tracemalloc.
 
 A frame is built in the one buffer it keeps, and `spectral.factored` frees
-A_s once its Gram is formed.  Short-lived buffers of several MB on top of
-those would push the process heap past the allocator's trim threshold, so
-that every op handed pages back to the kernel and faulted them in again.
+A_s once its Gram is formed and holds one chunk of a pattern set at a time.
+Short-lived buffers of several MB on top of those would push the process
+heap past the allocator's trim threshold, so that every op handed pages back
+to the kernel and faulted them in again.
 numpy reports its array data to tracemalloc, so these peaks count every
 array an op makes.
 """
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab import frames, spectral
+from framelab import frames, optimize, patterns, spectral
 
 
 def _traced_peak(fn):
@@ -67,3 +68,39 @@ def test_inverse_energy_frees_a_s_before_inverting_the_factor():
     assert np.isfinite(eta)
     a_s_bytes = k * f.m * f.data.itemsize
     assert peak < a_s_bytes + 1.5 * k * k * f.data.itemsize, peak
+
+
+def test_mlie_and_gradient_hold_one_pattern_at_a_time():
+    # past its own result, a 3-pattern call peaks where one pattern does: no
+    # L^{-1} (or its copy) of one pattern is held while the next is factored
+    f = frames.build_dss(947)
+    k = 378
+    pats = [sorted(np.random.default_rng((7, t)).choice(f.n, k, replace=False).tolist())
+            for t in range(3)]
+    one = k * f.m * f.data.itemsize + 1.5 * k * k * f.data.itemsize
+    rho, peak = _traced_peak(lambda: optimize.sampled_mlie(f, pats))
+    assert np.isfinite(rho) and peak < one, peak
+    grad, peak = _traced_peak(lambda: optimize.mlie_gradient(f, pats))
+    assert peak < one + grad.nbytes, peak
+
+
+@pytest.mark.parametrize("route", ["sampled_mlie", "mlie_gradient"])
+def test_small_k_set_holds_one_chunk_at_a_time(route, monkeypatch):
+    # bl 13/7/5 puts 1092 patterns in a chunk.  The canonical order is made
+    # untraced (its O(T k) sort keys come before the kernel); past it a set
+    # holds one chunk, with the array and tuple headers of its patterns (under
+    # half its data at k = 5), plus a float for each eta mlie_bits sums
+    f = frames.build_bandlimited_dft(13, 7)
+    extra = {}
+    for t in (2000, 8000):
+        idx, _ = patterns.pattern_set(13, 5, "sampled", t, 1)
+        rows = spectral.canonical_rows(f.data, idx)
+        assert len(spectral.chunks(f.data, idx)) > 1
+        monkeypatch.setattr(spectral, "canonical_rows", lambda data, idx: rows)
+        _, peak = _traced_peak(lambda: getattr(optimize, route)(f, idx))
+        monkeypatch.undo()
+        result = 32 * t if route == "sampled_mlie" else f.data.nbytes  # etas, or grad
+        extra[t] = peak - result
+        assert extra[t] <= 1.5 * spectral._CHUNK_BYTES, (t, peak)
+    # 4x the patterns adds no chunk, only list slack and a view per chunk
+    assert extra[8000] <= extra[2000] + 0.02 * spectral._CHUNK_BYTES, extra

@@ -308,9 +308,9 @@ def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
 def test_inverse_energy_calls_blas_only_through_scipy():
     # numpy's BLAS is a second library with its own thread pool; handing a
     # pattern's work to it costs more than the arithmetic
-    for fn in (spectral.inverse_energy, spectral.factored, spectral.gram,
-               spectral.gram_eigenvalues, spectral.gram_solve, spectral.eigen_histogram,
-               patterns.square_random_divergence):
+    for fn in (spectral.inverse_energy, spectral.factored, spectral.factor_rows,
+               spectral.gram, spectral.gram_eigenvalues, spectral.gram_solve,
+               spectral.eigen_histogram, patterns.square_random_divergence):
         source = inspect.getsource(fn)
         for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
             assert token not in source, (fn.__name__, token)
@@ -329,7 +329,7 @@ def test_frame_builders_call_no_eigensolver():
 
 def test_mlie_kernel_calls_blas_only_through_scipy():
     # the descent shares inverse_energy's factor: no Gram or eigensolver of its own
-    for fn in (optimize.sampled_mlie, optimize.mlie_gradient):
+    for fn in (optimize.sampled_mlie, optimize.mlie_gradient, optimize._add_block):
         source = inspect.getsource(fn)
         for token in ("np.linalg", " @ ", "np.dot", "np.vdot"):
             assert token not in source, (fn.__name__, token)
@@ -382,6 +382,54 @@ def test_factored_zero_upper_bitwise_equals_old_factor(label):
         assert np.array_equal(new[1], old[2])
         assert new[2] == old[3]
     assert np.array_equal(optimize.mlie_gradient(a, pats), _old_gradient(a, pats))
+
+
+def _chunk_case(complex_field):
+    """12 x 6 unit rows and 10 patterns of 3.  Row 7 copies row 2, so pattern
+    4 is singular; row 9 lies 5e-6 from row 4, so pattern 7 trips the pivot
+    screen and is finite.  Both take the eigen route, mid-chunk at 3 patterns
+    to a chunk."""
+    a = np.array(random_unit_frame(12, 6, 21, complex_field).data)
+    a[7] = a[2]
+    v = a[0] - np.vdot(a[4], a[0]) * a[4]
+    a[9] = math.cos(5e-6) * a[4] + math.sin(5e-6) * v / np.linalg.norm(v)
+    rng = np.random.default_rng(22)
+    free = np.setdiff1d(np.arange(12), (2, 4, 7, 9))
+    pats = np.array([rng.choice(free, 3, replace=False) for _ in range(10)])
+    pats[4], pats[7] = (7, 0, 2), (1, 9, 4)
+    return a, pats
+
+
+def _chunk_bytes(a, k, step):
+    """The `_CHUNK_BYTES` that puts `step` k-patterns of the rows `a` in a chunk."""
+    return step * k * (a.shape[1] + k) * a.itemsize
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_chunking_never_shows_in_the_bits(complex_field, monkeypatch):
+    a, pats = _chunk_case(complex_field)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, 3))
+    assert [len(c) for c in spectral.chunks(a, pats)] == [3, 3, 3, 1]
+    got = list(spectral.factored(a, pats))
+    assert [(inv is None, math.isinf(eta)) for _, inv, eta in got[3:9]] == [
+        (False, False), (True, True), (False, False),
+        (False, False), (True, False), (False, False)]
+    for p, (rows, inv_low, eta) in zip(pats, got, strict=True):
+        want_rows, want_inv, want_eta = next(spectral.factored(a, [p]))
+        assert np.array_equal(rows, want_rows)
+        assert (inv_low is None) == (want_inv is None)
+        assert inv_low is None or inv_low.tobytes(order="A") == want_inv.tobytes(order="A")
+        assert eta == want_eta
+    # the gradient adds one block at a time; its sums must not see the blocks
+    finite = np.delete(pats, 4, axis=0)
+    chunked = optimize.mlie_gradient(a, finite)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, len(finite)))
+    assert len(spectral.chunks(a, finite)) == 1
+    assert np.array_equal(chunked, optimize.mlie_gradient(a, finite))
+    factorable = np.delete(pats, (4, 7), axis=0)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, 3))
+    assert [len(c) for c in spectral.chunks(a, factorable)] == [3, 3, 2]
+    assert np.array_equal(optimize.mlie_gradient(a, factorable), _old_gradient(a, factorable))
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -594,26 +642,56 @@ def test_one_singular_pattern_exception():
     assert issubclass(spectral.SingularPatternError, ValueError)
 
 
-@pytest.mark.parametrize("theta", [0.0, 5e-6, 0.3])
-def test_cholesky_factor_or_none(theta):
-    # theta = 0: identical rows, potrf refuses; 5e-6: potrf factors, but
-    # pivot^2 = 2.5e-11 trips the screen; 0.3: the factor of G
-    a = _two_rows_at_angle(theta).data[:2]
-    g = a @ a.T
+# sin^2(theta) = sqrt(eps): two unit rows at this angle sit on the screen's edge
+_SCREEN_EDGE = math.asin(np.finfo(float).eps ** 0.25)
+
+
+def _screened(g):
+    """`cholesky`'s decision written out: potrf fails, or the squared pivot
+    ratio of the factor, on numpy scalars, is at most sqrt(eps)."""
+    clean, info = get_lapack_funcs(("potrf",), (g,))[0](np.array(g, order="F"), clean=1,
+                                                        lower=1)
+    d = clean.diagonal().real
+    return info > 0 or d.min() ** 2 <= math.sqrt(np.finfo(float).eps) * d.max() ** 2, clean
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("theta", [0.0, 5e-6, _SCREEN_EDGE * (1 - 1e-6),
+                                   _SCREEN_EDGE * (1 + 1e-6), 0.3])
+def test_cholesky_factor_or_none(theta, complex_field):
+    # theta = 0: identical rows, potrf refuses (real); 5e-6: potrf factors,
+    # but pivot^2 = 2.5e-11 trips the screen; at the edge the squared pivot
+    # ratio sin^2(theta) lies 2e-6 under or over sqrt(eps), far past the
+    # rounding of 1 - cos^2(theta) (about 1.5e-8 of it); 0.3: the factor of G
+    rows = (_complex_rows_at_angle(theta, math.pi / 5) if complex_field
+            else _two_rows_at_angle(theta))
+    a = rows.data[:2]
+    g = a @ a.conj().T
+    screened, clean = _screened(g)
     low = spectral.cholesky(np.array(g, order="F"))
-    if theta == 0.0:
-        assert low is None
+    assert (low is None) == screened == (theta < _SCREEN_EDGE)
+    if theta == 0.0 and not complex_field:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(g)
     elif theta == 5e-6:
-        assert low is None
-        assert np.linalg.cholesky(g)[1, 1] ** 2 <= 2.6e-11
-    else:
+        assert abs(np.linalg.cholesky(g)[1, 1]) ** 2 <= 2.6e-11
+    elif abs(theta / _SCREEN_EDGE - 1.0) < 1e-5:
+        d = clean.diagonal().real
+        assert abs(d.min() ** 2 / d.max() ** 2 / math.sqrt(np.finfo(float).eps) - 1) < 1e-5
+        decisions = set()
+        for j in range(-20, 21):  # across the edge, in steps under its rounding
+            t = _SCREEN_EDGE * (1 + j * 2e-9)
+            tilt = (_complex_rows_at_angle(t, math.pi / 5) if complex_field
+                    else _two_rows_at_angle(t)).data[:2]
+            g_j = tilt @ tilt.conj().T
+            screened_j = spectral.cholesky(np.array(g_j, order="F")) is None
+            assert screened_j == _screened(g_j)[0]
+            decisions.add(screened_j)
+        assert decisions == {True, False}
+    if low is not None:
         # clean=0 keeps g's upper triangle; the factor is the lower one
-        clean, info = get_lapack_funcs(("potrf",), (g,))[0](np.array(g, order="F"), clean=1,
-                                                            lower=1)
-        assert info == 0 and np.array_equal(np.tril(low), clean)
-        assert np.allclose(np.tril(low) @ np.tril(low).T, g, rtol=0.0, atol=1e-15)
+        assert np.array_equal(np.tril(low), clean)
+        assert np.allclose(np.tril(low) @ np.tril(low).conj().T, g, rtol=0.0, atol=1e-15)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans())
