@@ -12,7 +12,12 @@ local-minimum verification perturbs rows along random tangent directions.
 Each eta_s and the gradient core G^{-2} A_s come from `spectral.factored`,
 the factor `spectral.inverse_energy` uses, so rho equals the `mlie` of the
 same pattern set bit for bit and a pattern is singular exactly when
-`inverse_energy` gives inf.
+`inverse_energy` gives inf.  `mlie_gradient` returns rho with the gradient,
+so each accepted iterate is factored once: the Armijo trial at the step the
+previous iteration accepted goes through `mlie_gradient` and, once accepted,
+hands the next iteration its gradient; every other trial is value-only
+(`sampled_mlie`).  A rejected trial at that step pays one gradient core pass
+for nothing.
 """
 
 from __future__ import annotations
@@ -67,11 +72,13 @@ def sampled_mlie(frame_or_array, patterns):
 
 
 def mlie_gradient(frame_or_array, patterns):
-    """Gradient of the sampled rho with respect to the frame entries.
+    """(rho, gradient) of the sampled objective over an explicit pattern list.
 
-    d tr(G^{-1}) / d A_s = -2 G^{-2} A_s; for complex frames the returned
-    array packs d/dRe + i d/dIm.  Rows outside every pattern get zero.
-    Raises SingularPatternError on a singular pattern (the objective is not
+    rho is `sampled_mlie(frame_or_array, patterns)` bit for bit: the etas of
+    the factors the gradient is built from, summed by `patterns.mlie_bits`.
+    d tr(G^{-1}) / d A_s = -2 G^{-2} A_s; for complex frames the gradient
+    packs d/dRe + i d/dIm.  Rows outside every pattern get zero.  Raises
+    SingularPatternError on a singular pattern (the objective is not
     differentiable there).
     """
     a = frame_rows(frame_or_array)
@@ -79,17 +86,19 @@ def mlie_gradient(frame_or_array, patterns):
     blocks = spectral.chunks(a, patterns)  # the one check of the set
     scale = 0.5 * (m / n) / sum(map(len, blocks))
     grad = np.zeros_like(a)
+    etas = []
     for rows in blocks:
-        _add_block(grad, a, rows, scale)
-    return grad
+        etas += _add_block(grad, a, rows, scale)
+    return mlie_bits(etas, n, m), grad
 
 
 def _add_block(grad, a, rows, scale):
-    """Add one block of `spectral.chunks` to the gradient.  The block is
-    factored first, so `factor_rows` has freed its own gather; then the rows
-    are gathered once more and each A_s is turned into its scaled core in
-    place.  np.add.at adds the cores unbuffered, in pattern order: each entry
-    of grad sums its terms in the order a per-pattern loop would."""
+    """Add one block of `spectral.chunks` to the gradient and return its etas.
+    The block is factored first, so `factor_rows` has freed its own gather;
+    then the rows are gathered once more and each A_s is turned into its
+    scaled core in place.  np.add.at adds the cores unbuffered, in pattern
+    order: each entry of grad sums its terms in the order a per-pattern loop
+    would."""
     m = a.shape[1]
     factors = list(spectral.factor_rows(a, rows))
     cores = a[rows]
@@ -108,6 +117,7 @@ def _add_block(grad, a, rows, scale):
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
         np.multiply(scale / (eta * LOG2) * (-2.0 / m), core, out=a_s)
     np.add.at(grad, rows.ravel(), cores.reshape(-1, m))
+    return list(map(itemgetter(2), factors))
 
 
 def _start(frame, k, mode, pattern_budget, seed):
@@ -164,17 +174,28 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
     history = [rho0]
     iterations = 0
     converged = False
+    carry = 0  # halvings of the step last accepted
+    grad = None  # the gradient at `a` when its trial carried one
     for _ in range(max_iters):
-        g = _tangent(a, mlie_gradient(a, pats))
+        if grad is None:
+            grad = mlie_gradient(a, pats)[1]
+        g = _tangent(a, grad)
         gnorm2 = float(np.vdot(g, g).real)
         if gnorm2 <= GRAD_TOL ** 2:
             converged = True
             break
         t = step_init
         accepted = False
-        for _ in range(50):
+        for j in range(50):
             trial = project_rows(a - t * g)
-            rho_t = sampled_mlie(trial, pats)
+            grad = None
+            if j == carry:  # the likely accept: its factors give the next gradient too
+                try:
+                    rho_t, grad = mlie_gradient(trial, pats)
+                except SingularPatternError:
+                    rho_t = math.inf
+            else:
+                rho_t = sampled_mlie(trial, pats)
             if rho_t <= rho - ARMIJO_C * t * gnorm2:
                 accepted = True
                 break
@@ -182,7 +203,7 @@ def local_search(frame, k, pattern_budget=500, step_init=1e-2, max_iters=200, se
         if not accepted:
             converged = True  # no productive step at any scale
             break
-        a, rho = trial, rho_t
+        a, rho, carry = trial, rho_t, j
         steps.append(t)
         history.append(rho)
         iterations += 1

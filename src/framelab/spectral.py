@@ -9,10 +9,10 @@ the amplification factor of the least-squares encoder.  eta_s >= k/m always,
 with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
-One kernel, `factored`, gives every eta: it orders each pattern of a (T, k)
-set by `canonical_rows` (whose indices `frames.check_patterns` checks),
-splits the set into `chunks` bounded in bytes, gathers each chunk's rows at
-once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
+One kernel, `factored`, gives every eta: it checks a (T, k) set once
+(`frames.check_patterns`), splits it into `chunks` bounded in bytes, orders
+each pattern of a chunk as `canonical_rows` does, gathers each chunk's rows
+at once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
 the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so
@@ -107,7 +107,12 @@ def canonical_rows(data, idx):
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
     data = frame_rows(data)
-    idx = np.sort(check_patterns(len(data), idx), axis=1)
+    return _canonical_order(data, check_patterns(len(data), idx))
+
+
+def _canonical_order(data, idx):
+    """`canonical_rows` of a set `frames.check_patterns` has passed."""
+    idx = np.sort(idx, axis=1)
     n, (t, k) = len(data), idx.shape
     # One lexsort orders the whole set, the pattern as primary key.  Once the
     # leading keys leave no two rows of a pattern tied, the later keys never
@@ -203,15 +208,17 @@ def gram_solve(a_s, b):
 
 
 def chunks(data, idx):
-    """The canonical rows of the (T, k) pattern set `idx` (`canonical_rows`,
-    which checks the set) as consecutive (T_c, k) blocks: as many patterns as
-    keep their k x m rows and k x k Grams within _CHUNK_BYTES, and at least
-    one."""
-    data = frame_rows(data)
-    rows = canonical_rows(data, idx)
-    t, k = rows.shape
+    """The canonical rows of the (T, k) pattern set `idx` as consecutive
+    (T_c, k) blocks: as many patterns as keep their k x m rows and k x k Grams
+    within _CHUNK_BYTES, and at least one.  The whole set is checked once
+    (`frames.check_patterns`), then each block is put in canonical order on
+    its own: the order is per pattern, so the rows are `canonical_rows`'s,
+    and the sort keys of a large set never exist all at once."""
+    data = np.ascontiguousarray(frame_rows(data))  # one copy at most, not one a chunk
+    idx = check_patterns(len(data), idx)
+    t, k = idx.shape
     step = max(1, _CHUNK_BYTES // (k * (data.shape[1] + k) * data.itemsize))
-    return [rows[lo:lo + step] for lo in range(0, t, step)]
+    return [_canonical_order(data, idx[lo:lo + step]) for lo in range(0, t, step)]
 
 
 def factor_rows(data, rows):

@@ -307,7 +307,7 @@ def test_c12_local_minimizer_verification():
     # gradient oracle: analytic vs central differences, relative error
     a = np.array(frames.build_dss(7).data)
     pats = [tuple(row) for row in patterns.pattern_set(7, 2, "exhaustive")[0].tolist()]
-    g = optimize.mlie_gradient(a, pats)
+    g = optimize.mlie_gradient(a, pats)[1]
     h = 1e-6
     fd = np.zeros_like(g)
     for i in range(a.shape[0]):

@@ -80,27 +80,28 @@ def test_mlie_and_gradient_hold_one_pattern_at_a_time():
     one = k * f.m * f.data.itemsize + 1.5 * k * k * f.data.itemsize
     rho, peak = _traced_peak(lambda: optimize.sampled_mlie(f, pats))
     assert np.isfinite(rho) and peak < one, peak
-    grad, peak = _traced_peak(lambda: optimize.mlie_gradient(f, pats))
-    assert peak < one + grad.nbytes, peak
+    (rho, grad), peak = _traced_peak(lambda: optimize.mlie_gradient(f, pats))
+    assert np.isfinite(rho) and peak < one + grad.nbytes, peak
 
 
 @pytest.mark.parametrize("route", ["sampled_mlie", "mlie_gradient"])
-def test_small_k_set_holds_one_chunk_at_a_time(route, monkeypatch):
-    # bl 13/7/5 puts 1092 patterns in a chunk.  The canonical order is made
-    # untraced (its O(T k) sort keys come before the kernel); past it a set
-    # holds one chunk, with the array and tuple headers of its patterns (under
-    # half its data at k = 5), plus a float for each eta mlie_bits sums
+def test_small_k_set_holds_one_chunk_at_a_time(route):
+    # bl 13/7/5 puts 1092 patterns in a chunk.  Past its result (a float for
+    # each eta, and the gradient) a set holds one chunk, with the array and
+    # tuple headers of its patterns (under half its data at k = 5), and its
+    # index arrays: the check's sorted copy and bool mask, then the canonical
+    # rows of every chunk, at most 9 bytes an index.  The sort keys of the
+    # canonical order exist for one chunk at a time.
     f = frames.build_bandlimited_dft(13, 7)
+    k = 5
     extra = {}
     for t in (2000, 8000):
-        idx, _ = patterns.pattern_set(13, 5, "sampled", t, 1)
-        rows = spectral.canonical_rows(f.data, idx)
+        idx, _ = patterns.pattern_set(13, k, "sampled", t, 1)
         assert len(spectral.chunks(f.data, idx)) > 1
-        monkeypatch.setattr(spectral, "canonical_rows", lambda data, idx: rows)
         _, peak = _traced_peak(lambda: getattr(optimize, route)(f, idx))
-        monkeypatch.undo()
-        result = 32 * t if route == "sampled_mlie" else f.data.nbytes  # etas, or grad
+        result = 32 * t + (f.data.nbytes if route == "mlie_gradient" else 0)
         extra[t] = peak - result
-        assert extra[t] <= 1.5 * spectral._CHUNK_BYTES, (t, peak)
-    # 4x the patterns adds no chunk, only list slack and a view per chunk
-    assert extra[8000] <= extra[2000] + 0.02 * spectral._CHUNK_BYTES, extra
+        assert extra[t] <= 1.5 * spectral._CHUNK_BYTES + 9 * k * t, (t, peak)
+    # 4x the patterns adds no chunk, only index arrays, list slack and a view
+    # per chunk
+    assert extra[8000] - extra[2000] <= 9 * k * 6000 + 0.02 * spectral._CHUNK_BYTES, extra

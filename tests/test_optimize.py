@@ -30,14 +30,14 @@ def test_gradient_matches_finite_differences_real():
     rng = np.random.default_rng(0)
     a = optimize.project_rows(rng.standard_normal((8, 4)))
     pats = [patterns.sample_pattern(8, 3, seed=(3, t)) for t in range(5)]
-    g = optimize.mlie_gradient(a, pats)
+    g = optimize.mlie_gradient(a, pats)[1]
     assert np.abs(g - _fd_gradient(a, pats)).max() < 1e-5
 
 
 def test_gradient_matches_finite_differences_complex():
     a = np.array(frames.build_dss(7).data)
     pats = [patterns.sample_pattern(7, 2, seed=(4, t)) for t in range(5)]
-    g = optimize.mlie_gradient(a, pats)
+    g = optimize.mlie_gradient(a, pats)[1]
     assert np.abs(g - _fd_gradient(a, pats)).max() < 1e-5
 
 
@@ -52,7 +52,7 @@ def test_gradient_matches_finite_differences_random_instances():
             a = a + 1j * rng.standard_normal((n, m))
         a = optimize.project_rows(a)
         pats = [patterns.sample_pattern(n, k, seed=(case, t)) for t in range(4)]
-        g = optimize.mlie_gradient(a, pats)
+        g = optimize.mlie_gradient(a, pats)[1]
         assert np.abs(g - _fd_gradient(a, pats)).max() < 1e-5, f"case {case}"
 
 
@@ -82,7 +82,7 @@ def _gradient_cases():
 def test_gradient_matches_eigh_reference(label):
     f, k, count = _gradient_cases()[label]
     pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
-    g = optimize.mlie_gradient(f, pats)
+    g = optimize.mlie_gradient(f, pats)[1]
     ref = _eigh_gradient(np.array(f.data), pats)
     assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -92,10 +92,10 @@ def test_gradient_lu_fallback_matches_factor_route(label, monkeypatch):
     # without a Cholesky factor the eigen route gives eta and gram_solve solves G
     f, k, count = _gradient_cases()[label]
     pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
-    g = optimize.mlie_gradient(f, pats)
+    g = optimize.mlie_gradient(f, pats)[1]
     rho = optimize.sampled_mlie(f, pats)
     monkeypatch.setattr(spectral, "cholesky", lambda gram: None)
-    g_lu = optimize.mlie_gradient(f, pats)
+    g_lu = optimize.mlie_gradient(f, pats)[1]
     assert np.abs(g_lu - g).max() <= 1e-12 * np.abs(g).max()
     assert optimize.sampled_mlie(f, pats) == pytest.approx(rho, rel=1e-13)
 
@@ -127,7 +127,7 @@ def test_verify_local_min_refuses_bad_epsilons(eps):
 
 def test_gradient_zero_on_untouched_rows():
     a = np.array(frames.build_dss(7).data)
-    g = optimize.mlie_gradient(a, [(0, 1), (0, 2)])
+    g = optimize.mlie_gradient(a, [(0, 1), (0, 2)])[1]
     assert np.abs(g[3:]).max() == 0.0
 
 
@@ -156,7 +156,7 @@ def test_unitary_frame_is_stationary():
     u = frames.build_bandlimited_dft(8, 8)
     a = np.array(u.data)
     pats = [patterns.sample_pattern(8, 3, seed=(5, t)) for t in range(10)]
-    g = optimize.mlie_gradient(a, pats)
+    g = optimize.mlie_gradient(a, pats)[1]
     inner = np.sum(a.conj() * g, axis=1).real
     tangent = g - inner[:, None] * a
     assert np.abs(tangent).max() < 1e-9
@@ -194,6 +194,113 @@ def test_local_search_descends_on_bandlimited():
     assert all(a >= b for a, b in zip(hist, hist[1:]))  # never increases
     assert rep.pattern_mode == "sampled" and rep.fresh_mlie is not None
     assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() < 1e-12
+
+
+def _reference_local_search(frame, k, pattern_budget, step_init, max_iters, seed):
+    """`local_search` with no trial carrying its gradient: `sampled_mlie` on
+    every trial, then a separate gradient at each accepted iterate."""
+    mode = "auto" if math.comb(frame.n, k) <= pattern_budget else "sampled"
+    a, pats, mode, rho0 = optimize._start(frame, k, mode, pattern_budget, seed)
+    rho, steps, history, converged = rho0, [], [rho0], False
+    for _ in range(max_iters):
+        g = optimize._tangent(a, optimize.mlie_gradient(a, pats)[1])
+        gnorm2 = float(np.vdot(g, g).real)
+        if gnorm2 <= optimize.GRAD_TOL ** 2:
+            converged = True
+            break
+        t = step_init
+        for _ in range(50):
+            trial = optimize.project_rows(a - t * g)
+            rho_t = optimize.sampled_mlie(trial, pats)
+            if rho_t <= rho - optimize.ARMIJO_C * t * gnorm2:
+                break
+            t *= 0.5
+        else:
+            converged = True
+            break
+        a, rho = trial, rho_t
+        steps.append(t)
+        history.append(rho)
+    fresh = None
+    if mode == "sampled":
+        fresh_pats, _ = patterns.pattern_set(len(a), k, "sampled", len(pats), seed + 1)
+        fresh = optimize.sampled_mlie(a, fresh_pats)
+    report = optimize.OptReport(
+        initial_mlie=rho0, final_mlie=rho, iterations=len(steps),
+        step_history=tuple(steps), mlie_history=tuple(history), converged=converged,
+        perturbation_verdicts=(), pattern_mode=mode, pattern_count=len(pats),
+        fresh_mlie=fresh)
+    return report, a
+
+
+def _descent_cases():
+    return {
+        "iid_real_sampled": (frames.build_random_iid(20, 10, seed=3), 6, 40),
+        "iid_real_exhaustive": (frames.build_random_iid(10, 5, seed=3), 3, 500),
+        "bl13_sampled": (frames.build_bandlimited_dft(13, 7), 5, 35),
+        "bl9_exhaustive": (frames.build_bandlimited_dft(9, 5), 3, 500),
+        "dss19_sampled": (frames.build_dss(19), 5, 60),
+        "dss11_exhaustive": (frames.build_dss(11), 3, 500),
+    }
+
+
+@pytest.mark.parametrize("step", [1e-2, 100.0])
+@pytest.mark.parametrize("label", sorted(_descent_cases()))
+def test_local_search_bitwise_equals_reference_loop(label, step):
+    f, k, budget = _descent_cases()[label]
+    rep, out = optimize.local_search(f, k, pattern_budget=budget, step_init=step,
+                                     max_iters=12, seed=1)
+    want, a = _reference_local_search(f, k, budget, step, 12, seed=1)
+    assert rep == want
+    assert out.data.dtype == a.dtype and out.data.tobytes() == a.tobytes()
+    assert rep.pattern_mode == ("exhaustive" if "exhaustive" in label else "sampled")
+    if step == 100.0 and rep.iterations:
+        # Armijo rejects trials, and the accepted number of halvings moves
+        # between iterations: carried gradients are dropped and picked up
+        assert min(rep.step_history) < step and len(set(rep.step_history)) > 1
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to optimize's module attributes `names`, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(optimize, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(optimize, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_search_factors_each_accepted_iterate_once(seed, monkeypatch):
+    # the bench's opt-bl13 op: every step is accepted untouched, so the trial
+    # at that step carries the next gradient, and sampled_mlie runs only at
+    # the start and on the fresh set
+    calls = _count_calls(monkeypatch, ("sampled_mlie", "mlie_gradient"))
+    rep, _ = optimize.local_search(frames.build_bandlimited_dft(13, 7), 5,
+                                   pattern_budget=35, max_iters=20, seed=seed)
+    assert rep.iterations == 20 and set(rep.step_history) == {1e-2}
+    assert calls == {"sampled_mlie": 2, "mlie_gradient": 21}
+
+
+def test_singular_carried_trial_just_shrinks_the_step(monkeypatch):
+    gradient = optimize.mlie_gradient
+    calls = []
+
+    def first_trial_singular(a, pats):
+        calls.append(a)
+        if len(calls) == 2:  # the first call is the start's gradient
+            raise spectral.SingularPatternError("singular trial")
+        return gradient(a, pats)
+
+    monkeypatch.setattr(optimize, "mlie_gradient", first_trial_singular)
+    step = 1e-2
+    rep, _ = optimize.local_search(frames.build_bandlimited_dft(13, 7), 5,
+                                   pattern_budget=35, step_init=step, max_iters=5)
+    assert len(calls) > 2 and rep.iterations == 5
+    assert rep.step_history[0] == step / 2
+    hist = rep.mlie_history
+    assert all(a >= b for a, b in zip(hist, hist[1:]))
 
 
 def test_local_search_zero_iterations_is_identity():

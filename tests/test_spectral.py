@@ -381,7 +381,7 @@ def test_factored_zero_upper_bitwise_equals_old_factor(label):
         assert not np.triu(new[1], 1).any()
         assert np.array_equal(new[1], old[2])
         assert new[2] == old[3]
-    assert np.array_equal(optimize.mlie_gradient(a, pats), _old_gradient(a, pats))
+    assert np.array_equal(optimize.mlie_gradient(a, pats)[1], _old_gradient(a, pats))
 
 
 def _chunk_case(complex_field):
@@ -420,16 +420,22 @@ def test_chunking_never_shows_in_the_bits(complex_field, monkeypatch):
         assert (inv_low is None) == (want_inv is None)
         assert inv_low is None or inv_low.tobytes(order="A") == want_inv.tobytes(order="A")
         assert eta == want_eta
-    # the gradient adds one block at a time; its sums must not see the blocks
+    # the gradient adds one block at a time; its sums must not see the blocks,
+    # and the rho it returns is sampled_mlie's
     finite = np.delete(pats, 4, axis=0)
-    chunked = optimize.mlie_gradient(a, finite)
+    assert len(spectral.chunks(a, finite)) == 3
+    rho, chunked = optimize.mlie_gradient(a, finite)
+    assert rho == optimize.sampled_mlie(a, finite)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, len(finite)))
     assert len(spectral.chunks(a, finite)) == 1
-    assert np.array_equal(chunked, optimize.mlie_gradient(a, finite))
+    one_rho, one_grad = optimize.mlie_gradient(a, finite)
+    assert one_rho == rho and np.array_equal(chunked, one_grad)
     factorable = np.delete(pats, (4, 7), axis=0)
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, 3))
     assert [len(c) for c in spectral.chunks(a, factorable)] == [3, 3, 2]
-    assert np.array_equal(optimize.mlie_gradient(a, factorable), _old_gradient(a, factorable))
+    rho, grad = optimize.mlie_gradient(a, factorable)
+    assert rho == optimize.sampled_mlie(a, factorable)
+    assert np.array_equal(grad, _old_gradient(a, factorable))
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -488,7 +494,8 @@ def _route_outputs(route, data, pats):
         return [x for s in pats for x in vars(spectral.gram_eigenvalues(data, s)).values()]
     if route == "factored":
         return [x for out in spectral.factored(data, pats) for x in out]
-    return [getattr(optimize, route)(data, pats)]
+    out = getattr(optimize, route)(data, pats)
+    return list(out) if route == "mlie_gradient" else [out]
 
 
 @pytest.mark.parametrize("route", ["gram_eigenvalues", "factored", "sampled_mlie",
@@ -623,7 +630,7 @@ def test_screened_finite_pattern_goes_through_gram_solve(monkeypatch, frame):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b = coder.encoder_matrix(frame, (0, 1))
-        grad = optimize.mlie_gradient(frame, [(0, 1)])
+        grad = optimize.mlie_gradient(frame, [(0, 1)])[1]
     assert len(calls) == 3  # one for the encoder, two for G^{-2} A_s
     pinv = np.linalg.pinv(a_s)
     assert np.linalg.norm(b - pinv) <= 1e-4 * np.linalg.norm(pinv)
