@@ -11,6 +11,10 @@ transformed-sample energy (1/m)E||f||^2 = eta_s sigma_x^2, and the rate
 (m/n)(1/2) log2(1 + energy/sigma_q^2).  Complex frames use circularly-symmetric
 complex Gaussians with the same per-sample variances, so the scalar identities
 carry over unchanged.
+
+The encoder solves with a Cholesky factor of G = A_s A_s'; a finite pattern
+without one reads B_s = (conj(Y) A_s)' conj(Y) off the inverse factor Y
+(Y^H Y = conj(G)^{-1}) that `spectral.eigen_factor` gives the eta kernel too.
 """
 
 from __future__ import annotations
@@ -36,16 +40,19 @@ def encoder_matrix(frame, pattern):
     ||B_s||_F^2 / m equals the inverse energy eta_s.  Singular vs finite is
     decided as in `spectral.inverse_energy`: without a `spectral.cholesky`
     factor, the pattern is singular exactly when `spectral.gram_eigenvalues`
-    gives eta = inf, and a finite one goes through `spectral.gram_solve`.
+    gives eta = inf, and a finite one reads B_s = (conj(Y) A_s)' conj(Y) off
+    the `spectral.eigen_factor` Y of its rows (Y^H Y = conj(G)^{-1}).
     """
     a_s = frame.submatrix(pattern)  # checks the pattern
     g = a_s @ a_s.conj().T
     low = spectral.cholesky((g + g.conj().T) / 2.0)
     if low is not None:
         return cho_solve((low, True), a_s, check_finite=False).conj().T
-    if math.isinf(spectral.gram_eigenvalues(frame, pattern).eta):
+    es = spectral.gram_eigenvalues(frame, pattern)
+    if math.isinf(es.eta):
         raise SingularPatternError(f"pattern {pattern} is numerically rank deficient")
-    return spectral.gram_solve(a_s, a_s).conj().T
+    y = spectral.eigen_factor(a_s, es.eigenvalues).conj()
+    return (y @ a_s).conj().T @ y
 
 
 @dataclass

@@ -12,7 +12,9 @@ local-minimum verification perturbs rows along random tangent directions.
 Each eta_s and the gradient core G^{-2} A_s come from `spectral.factored`,
 the factor `spectral.inverse_energy` uses, so rho equals the `mlie` of the
 same pattern set bit for bit and a pattern is singular exactly when
-`inverse_energy` gives inf.  `mlie_gradient` returns rho with the gradient,
+`inverse_energy` gives inf.  Every finite pattern has an inverse factor
+there (L^{-1}, or the eigen route's Y), so the core is one chain of
+triangular products.  `mlie_gradient` returns rho with the gradient,
 so each accepted iterate is factored once: the Armijo trial at the step the
 previous iteration accepted goes through `mlie_gradient` and, once accepted,
 hands the next iteration its gradient; every other trial is value-only
@@ -51,12 +53,19 @@ def project_rows(a):
     """Normalize every row to unit l2 norm (projection onto the constraint).
 
     Idempotent in the strong sense: rows already unit within 1e-12 pass
-    through bitwise unchanged.
+    through bitwise unchanged.  A row whose norm overflows (entries near
+    1e300, as a huge perturbation makes) is first scaled by its largest entry.
     """
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1, keepdims=True)
     if np.abs(norms - 1.0).max() <= 1e-12:
         return a
-    return a / norms
+    out = a / norms
+    huge = np.isinf(norms[:, 0])
+    if huge.any():
+        b = a[huge] / np.abs(a[huge]).max(axis=1, keepdims=True)
+        out[huge] = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return out
 
 
 def sampled_mlie(frame_or_array, patterns):
@@ -103,19 +112,16 @@ def _add_block(grad, a, rows, scale):
     factors = list(spectral.factor_rows(a, rows))
     cores = a[rows]
     trmm = spectral.routines(a.dtype)["trmm"]
-    for a_s, (r, inv_low, eta) in zip(cores, factors):
-        if math.isinf(eta):
+    for a_s, (r, y, eta) in zip(cores, factors):
+        if y is None:
             raise SingularPatternError(
                 f"singular pattern {tuple(sorted(r.tolist()))} in gradient")
-        if inv_low is None:  # no factor, finite by the eigen route
-            core = spectral.gram_solve(a_s, spectral.gram_solve(a_s, a_s))
-        else:  # conj(G) = L L^H: (G^{-2} A_s)^T = A_s^T L^{-H} L^{-1} L^{-H} L^{-1}
-            core = a_s.T  # Fortran-ordered, multiplied in place
-            for trans in (2, 0, 2, 0):  # side=1 (right), lower, trans_a, diag=0, overwrite_b
-                core = trmm(1.0, inv_low, core, 1, 1, trans, 0, 1)
-            core = core.T
+        # Y^H Y = conj(G)^{-1}: (G^{-2} A_s)^T = A_s^T Y^H Y Y^H Y
+        core = a_s.T  # Fortran-ordered, multiplied in place
+        for trans in (2, 0, 2, 0):  # side=1 (right), lower, trans_a, diag=0, overwrite_b
+            core = trmm(1.0, y, core, 1, 1, trans, 0, 1)
         # d rho / d eta = scale / (eta ln 2); d eta / dA_s = -(2/m) G^{-2} A_s
-        np.multiply(scale / (eta * LOG2) * (-2.0 / m), core, out=a_s)
+        np.multiply(scale / (eta * LOG2) * (-2.0 / m), core.T, out=a_s)
     np.add.at(grad, rows.ravel(), cores.reshape(-1, m))
     return list(map(itemgetter(2), factors))
 

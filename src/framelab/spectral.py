@@ -19,9 +19,10 @@ mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so
 they agree bit for bit.  There is one singularity policy: `cholesky` gives
 no factor when potrf fails or its squared pivot ratio is under sqrt(eps),
 and then `gram_eigenvalues` decides singular (eta = inf) or finite, here
-and in `coder.encoder_matrix`; `gram_solve` is the one solve for a finite
-pattern without a factor.  Where a finite eta is needed, a singular pattern
-raises `SingularPatternError`.  Every
+and in `coder.encoder_matrix`.  Every finite pattern has one kind of
+inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}: L^{-1}, or
+`eigen_factor`'s Y without a Cholesky factor.  Where a finite eta is needed,
+a singular pattern raises `SingularPatternError`.  Every
 route reads frame rows through `frames.frame_rows`, in float64 or complex128,
 and calls BLAS and LAPACK only through scipy, from one table for each
 (`routines`, so a pattern pays no lookup): numpy and scipy may load separate
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, solve
+from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, qr
 
 from .frames import check_patterns, frame_rows
 
@@ -56,7 +57,7 @@ __all__ = [
     "chunks",
     "gram",
     "gram_eigenvalues",
-    "gram_solve",
+    "eigen_factor",
     "factored",
     "factor_rows",
     "inverse_energy",
@@ -199,12 +200,18 @@ def gram_eigenvalues(frame, pattern) -> EigenSample:
     return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, data.shape[1]))
 
 
-def gram_solve(a_s, b):
-    """G^{-1} b for G = A_s A_s': the solve for a pattern without a `cholesky`
-    factor whose eta `gram_eigenvalues` calls finite.  `gram` gives conj(G),
-    and conj(G)^{-1} conj(b) = conj(G^{-1} b)."""
-    return np.conj(solve(gram(a_s), np.conj(b), lower=True, assume_a="her",
-                         overwrite_a=True, check_finite=False))
+def eigen_factor(a_s, w):
+    """The lower-triangular Y with Y^H Y = conj(G)^{-1}, G = A_s A_s', for a
+    pattern without a `cholesky` factor whose Gram has the ascending, finite
+    eigenvalues w.  With the eigenvectors V of conj(G), Z = diag(w)^{-1/2} V^H
+    has Z^H Z = conj(G)^{-1}; QR of Z with its columns reversed, Z P = Q R,
+    gives Y = P R P, R flipped in both axes, so Y is lower like `factored`'s
+    L^{-1}.  w is `gram_eigenvalues`', so ||Y||_F^2 / m is its eta up to
+    rounding: the eigenvalues `eigh` gives with vectors differ in their last
+    bits, which a screened pattern's conditioning magnifies in eta."""
+    v = eigh(gram(a_s), lower=True, driver="evd", overwrite_a=True, check_finite=False)[1]
+    # Z P = (P V diag(w)^{-1/2})^H
+    return qr((v[::-1] / np.sqrt(w)).conj().T, mode="r", check_finite=False)[0][::-1, ::-1]
 
 
 def chunks(data, idx):
@@ -225,7 +232,9 @@ def factor_rows(data, rows):
     """`factored`'s triples for one block of canonical rows from `chunks`,
     over frame rows as `frames.frame_rows` gives them.  One gather forms every
     A_s of the block; it is dropped once their Grams are formed, and each
-    Gram is then factored in place."""
+    Gram is then factored in place.  A Gram without a `cholesky` factor takes
+    the eigen route: `gram_eigenvalues` gives its eta, and a finite one its
+    `eigen_factor`; Y is None only when eta is inf."""
     m = data.shape[1]
     fn = routines(data.dtype)
     a = data[rows]
@@ -234,7 +243,9 @@ def factor_rows(data, rows):
     for r, g in zip(rows, grams):
         low = cholesky(g)
         if low is None:
-            yield r, None, gram_eigenvalues(data, r).eta
+            es = gram_eigenvalues(data, r)
+            y = None if math.isinf(es.eta) else eigen_factor(data[r], es.eigenvalues)
+            yield r, y, es.eta
             continue
         inv_low, info = fn["trtri"](low, 1, 0, 1)  # lower, unitdiag=0, overwrite_c
         if info:
@@ -245,12 +256,14 @@ def factor_rows(data, rows):
 
 def factored(data, idx):
     """Per pattern of the (T, k) set `idx` over the frame rows `data`, the
-    triple (rows, L^{-1}, eta_s): the pattern's rows in canonical order, the
-    inverse of the Cholesky factor L of conj(G), G = A_s A_s', and
-    eta_s = ||L^{-1}||_F^2 / m.  L^{-1} has an exactly zero strict upper
-    triangle: `gram` leaves it zero, and potrf and trtri write only the lower
-    one.  Without a `cholesky` factor L^{-1} is None and the eigenvalue route
-    (`gram_eigenvalues`) owns the singular/finite decision.
+    triple (rows, Y, eta_s): the pattern's rows in canonical order, a
+    lower-triangular inverse factor Y with Y^H Y = conj(G)^{-1},
+    G = A_s A_s', and eta_s = ||Y||_F^2 / m.  With a `cholesky` factor L of
+    conj(G), Y = L^{-1}, and eta is read off it; L^{-1} has an exactly zero
+    strict upper triangle: `gram` leaves it zero, and potrf and trtri write
+    only the lower one.  Without one the eigenvalue route
+    (`gram_eigenvalues`) owns the singular/finite decision and eta, and Y is
+    `eigen_factor`'s.  Y is None exactly when eta is inf.
 
     The set runs in `chunks`, each through `factor_rows`.  No A_s is kept:
     a chunk's rows are freed once its Grams are formed, so trtri and the copy

@@ -385,6 +385,21 @@ def test_optimize_verify_mode(tmp_path):
     assert trials == "20" and float(frac) == 0.0
 
 
+def test_optimize_verify_huge_epsilon_stays_finite(tmp_path):
+    # at epsilon 1e300 the perturbed rows' norms overflow; the projection
+    # still gives the tangent directions, so the verdict is the one every
+    # epsilon far past the rows' size gives, with no warning
+    verdicts = []
+    for eps in ("1e200", "1e300"):
+        out = tmp_path / f"verify{eps}.csv"
+        assert cli.main(["optimize", "--verify", "--epsilons", eps, "--frame", "bl", "--n", "9",
+                         "--m", "3", "--k", "3", "--out", str(out)]) == 0
+        verdicts.append(_rows(out)[1].strip().split(","))
+    (_, _, frac_200, dec_200), (_, _, frac_300, dec_300) = verdicts
+    assert frac_300 == frac_200
+    assert float(dec_300) == pytest.approx(float(dec_200), abs=1e-12)
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "loss.json"
     rc = cli.main(["rate-loss", "--p", "0.2", "--sdr-grid", "10:20:10",

@@ -88,15 +88,15 @@ def test_gradient_matches_eigh_reference(label):
 
 
 @pytest.mark.parametrize("label", sorted(_gradient_cases()))
-def test_gradient_lu_fallback_matches_factor_route(label, monkeypatch):
-    # without a Cholesky factor the eigen route gives eta and gram_solve solves G
+def test_gradient_eigen_factor_matches_cholesky_route(label, monkeypatch):
+    # without a Cholesky factor the eigen route gives eta and the inverse factor
     f, k, count = _gradient_cases()[label]
     pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
     g = optimize.mlie_gradient(f, pats)[1]
     rho = optimize.sampled_mlie(f, pats)
     monkeypatch.setattr(spectral, "cholesky", lambda gram: None)
-    g_lu = optimize.mlie_gradient(f, pats)[1]
-    assert np.abs(g_lu - g).max() <= 1e-12 * np.abs(g).max()
+    g_eigen = optimize.mlie_gradient(f, pats)[1]
+    assert np.abs(g_eigen - g).max() <= 1e-12 * np.abs(g).max()
     assert optimize.sampled_mlie(f, pats) == pytest.approx(rho, rel=1e-13)
 
 
@@ -170,6 +170,24 @@ def test_project_rows_idempotent_and_exact_on_unit_rows():
     assert np.array_equal(optimize.project_rows(proj), proj)
     unit = np.array(frames.build_dss(7).data)
     assert np.array_equal(optimize.project_rows(unit), unit)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_project_rows_survives_rows_whose_norm_overflows(complex_field):
+    # the suite turns warnings into errors, so the overflow inside the norm
+    # must stay silent; rows of ordinary size keep their bits
+    rng = np.random.default_rng(2)
+    raw = rng.standard_normal((5, 4))
+    if complex_field:
+        raw = raw + 1j * rng.standard_normal((5, 4))
+    huge = raw.copy()
+    huge[[1, 3]] *= 1e300
+    proj = optimize.project_rows(huge)
+    plain = optimize.project_rows(raw)
+    assert np.array_equal(proj[[0, 2, 4]], raw[[0, 2, 4]] / np.linalg.norm(raw[[0, 2, 4]], axis=1,
+                                                                           keepdims=True))
+    assert np.abs(proj[[1, 3]] - plain[[1, 3]]).max() <= 1e-15
+    assert np.abs(np.linalg.norm(proj, axis=1) - 1.0).max() <= 1e-15
 
 
 def test_fixed_pattern_set_modes():

@@ -309,7 +309,7 @@ def test_inverse_energy_calls_blas_only_through_scipy():
     # numpy's BLAS is a second library with its own thread pool; handing a
     # pattern's work to it costs more than the arithmetic
     for fn in (spectral.inverse_energy, spectral.factored, spectral.factor_rows,
-               spectral.gram, spectral.gram_eigenvalues, spectral.gram_solve,
+               spectral.gram, spectral.gram_eigenvalues, spectral.eigen_factor,
                spectral.eigen_histogram, patterns.square_random_divergence):
         source = inspect.getsource(fn)
         for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
@@ -387,8 +387,8 @@ def test_factored_zero_upper_bitwise_equals_old_factor(label):
 def _chunk_case(complex_field):
     """12 x 6 unit rows and 10 patterns of 3.  Row 7 copies row 2, so pattern
     4 is singular; row 9 lies 5e-6 from row 4, so pattern 7 trips the pivot
-    screen and is finite.  Both take the eigen route, mid-chunk at 3 patterns
-    to a chunk."""
+    screen and is finite, with the eigen route's factor.  Both take the eigen
+    route, mid-chunk at 3 patterns to a chunk."""
     a = np.array(random_unit_frame(12, 6, 21, complex_field).data)
     a[7] = a[2]
     v = a[0] - np.vdot(a[4], a[0]) * a[4]
@@ -411,14 +411,14 @@ def test_chunking_never_shows_in_the_bits(complex_field, monkeypatch):
     monkeypatch.setattr(spectral, "_CHUNK_BYTES", _chunk_bytes(a, 3, 3))
     assert [len(c) for c in spectral.chunks(a, pats)] == [3, 3, 3, 1]
     got = list(spectral.factored(a, pats))
-    assert [(inv is None, math.isinf(eta)) for _, inv, eta in got[3:9]] == [
+    assert [(y is None, math.isinf(eta)) for _, y, eta in got[3:9]] == [
         (False, False), (True, True), (False, False),
-        (False, False), (True, False), (False, False)]
-    for p, (rows, inv_low, eta) in zip(pats, got, strict=True):
-        want_rows, want_inv, want_eta = next(spectral.factored(a, [p]))
+        (False, False), (False, False), (False, False)]
+    for p, (rows, y, eta) in zip(pats, got, strict=True):
+        want_rows, want_y, want_eta = next(spectral.factored(a, [p]))
         assert np.array_equal(rows, want_rows)
-        assert (inv_low is None) == (want_inv is None)
-        assert inv_low is None or inv_low.tobytes(order="A") == want_inv.tobytes(order="A")
+        assert (y is None) == (want_y is None)
+        assert y is None or y.tobytes(order="A") == want_y.tobytes(order="A")
         assert eta == want_eta
     # the gradient adds one block at a time; its sums must not see the blocks,
     # and the rho it returns is sampled_mlie's
@@ -616,22 +616,22 @@ def _complex_rows_at_angle(theta, phase):
     _two_rows_at_angle(5e-6), _two_rows_at_angle(2e-6),
     _complex_rows_at_angle(4e-6, math.pi / 5),
 ], ids=["real-5e-6", "real-2e-6", "complex-4e-6"])
-def test_screened_finite_pattern_goes_through_gram_solve(monkeypatch, frame):
+def test_screened_finite_pattern_takes_the_eigen_factor(monkeypatch, frame):
     # pivot^2 = sin^2(theta) trips the screen, yet lambda_min / lambda_max =
     # tan^2(theta / 2) stays above SINGULARITY_RATIO (6.25e-12, 1.0000056e-12
-    # and 4e-12): finite, with no factor
+    # and 4e-12): finite, with no Cholesky factor
     a_s = frame.data[:2]
     assert spectral.cholesky(spectral.gram(a_s)) is None
     eta = spectral.gram_eigenvalues(frame, (0, 1)).eta
     assert math.isfinite(eta)
     calls = []
-    solve = spectral.gram_solve
-    monkeypatch.setattr(spectral, "gram_solve", lambda a, b: calls.append(a) or solve(a, b))
+    factor = spectral.eigen_factor
+    monkeypatch.setattr(spectral, "eigen_factor", lambda a, w: calls.append(a) or factor(a, w))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b = coder.encoder_matrix(frame, (0, 1))
         grad = optimize.mlie_gradient(frame, [(0, 1)])[1]
-    assert len(calls) == 3  # one for the encoder, two for G^{-2} A_s
+    assert len(calls) == 2  # one for the encoder, one for the gradient
     pinv = np.linalg.pinv(a_s)
     assert np.linalg.norm(b - pinv) <= 1e-4 * np.linalg.norm(pinv)
     # A_s is square: G^{-2} A_s = A_s^{-H} A_s^{-1} A_s^{-H}
@@ -715,12 +715,10 @@ def test_eta_floor_property(seed, m, complex_field):
         assert eta >= k / m - 1e-9
 
 
-@given(st.integers(0, 10 ** 6), st.integers(2, 9), st.booleans(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat):
-    # repeat: the pattern holds a row twice over (a repeated frame row);
-    # otherwise the frame's rows span only r < m dimensions and the pattern
-    # takes more than r of them.  Either way the Gram is singular.
+def _rank_deficient_case(seed, m, complex_field, repeat):
+    """A frame and a pattern of it with a singular Gram.  repeat: the pattern
+    holds a row twice over (a repeated frame row); otherwise the frame's rows
+    span only r < m dimensions and the pattern takes more than r of them."""
     rng = np.random.default_rng(seed)
     if repeat:
         base = random_unit_frame(m + 2, m, seed, complex_field).data
@@ -736,15 +734,60 @@ def test_eta_never_nan_on_rank_deficient_patterns(seed, m, complex_field, repeat
         f = frames.Frame(_unit_rows(b @ c))
         k = int(rng.integers(r + 1, m + 5))
         s = tuple(sorted(rng.choice(m + 4, k, replace=False).tolist()))
+    return f, s
+
+
+_RANK_DEFICIENT = st.builds(_rank_deficient_case, st.integers(0, 10 ** 6), st.integers(2, 9),
+                            st.booleans(), st.booleans())
+
+
+@given(_RANK_DEFICIENT)
+@settings(max_examples=60, deadline=None)
+def test_eta_never_nan_on_rank_deficient_patterns(case):
+    f, s = case
     eta = spectral.inverse_energy(f, s)
     assert not math.isnan(eta)
-    assert eta == math.inf or eta >= len(s) / m - 1e-9
+    assert eta == math.inf or eta >= len(s) / f.m - 1e-9
     # the other consumers of the singularity policy see the same patterns
     assert optimize.sampled_mlie(f, [s]) == math.inf
     with pytest.raises(spectral.SingularPatternError):  # raises rather than return nan
         optimize.mlie_gradient(f, [s])
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(f, s)
+
+
+def _tilted_case(seed, m, theta, complex_field):
+    """A random unit frame whose row 1 lies at the angle theta from row 0, and
+    a pattern of up to m rows that holds both."""
+    rng = np.random.default_rng(seed)
+    a = np.array(random_unit_frame(m + 3, m, seed, complex_field).data)
+    v = a[1] - np.vdot(a[0], a[1]) * a[0]
+    a[1] = math.cos(theta) * a[0] + math.sin(theta) * v / np.linalg.norm(v)
+    others = rng.choice(np.arange(2, m + 3), int(rng.integers(0, m - 1)), replace=False)
+    return frames.Frame(a), (0, 1, *others.tolist())
+
+
+_SCREENED_ANGLES = st.floats(1e-7, _SCREEN_EDGE, exclude_max=True)
+
+
+@given(st.one_of(
+    st.builds(lambda t, phase, complex_field: (
+        _complex_rows_at_angle(t, phase) if complex_field else _two_rows_at_angle(t), (0, 1)),
+        _SCREENED_ANGLES, st.floats(0.0, 2.0 * math.pi), st.booleans()),
+    st.builds(_tilted_case, st.integers(0, 10 ** 6), st.integers(2, 9), _SCREENED_ANGLES,
+              st.booleans()),
+    _RANK_DEFICIENT))
+@settings(max_examples=150, deadline=None)
+def test_factored_gives_a_factor_exactly_for_finite_etas(case):
+    # screened angles from 1e-7 (singular) to the screen's edge (finite, no
+    # Cholesky factor), and the singular sets: every finite pattern has a
+    # lower-triangular Y with ||Y||_F^2 / m = eta, and only inf has none
+    f, s = case
+    (_, y, eta), = spectral.factored(f.data, [s])
+    assert (y is None) == math.isinf(eta)
+    if y is not None:
+        assert not np.triu(y, 1).any()
+        assert abs(float(np.vdot(y, y).real) / f.m - eta) <= 1e-12 * eta
 
 
 @given(st.integers(0, 10 ** 6))
