@@ -12,9 +12,10 @@ transformed-sample energy (1/m)E||f||^2 = eta_s sigma_x^2, and the rate
 complex Gaussians with the same per-sample variances, so the scalar identities
 carry over unchanged.
 
-The encoder solves with a Cholesky factor of G = A_s A_s'; a finite pattern
-without one reads B_s = (conj(Y) A_s)' conj(Y) off the inverse factor Y
-(Y^H Y = conj(G)^{-1}) that `spectral.eigen_factor` gives the eta kernel too.
+The encoder solves no system of its own: it reads B_s and eta_s off the eta
+kernel's inverse factor Y of the pattern Gram (`spectral.factored`), so the
+coder, ie-hist, mlie and the MLIE gradient share one factor, one singular
+decision and one eta.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import spectral
 from .frames import check_patterns
@@ -35,24 +35,23 @@ __all__ = ["SingularPatternError", "encoder_matrix", "PatternTally", "CoderRepor
 
 
 def encoder_matrix(frame, pattern):
-    """Pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k), via a Cholesky solve.
+    """The pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k, columns in the
+    pattern's order) and eta_s = ||B_s||_F^2 / m, both from `spectral.factored`.
 
-    ||B_s||_F^2 / m equals the inverse energy eta_s.  Singular vs finite is
-    decided as in `spectral.inverse_energy`: without a `spectral.cholesky`
-    factor, the pattern is singular exactly when `spectral.gram_eigenvalues`
-    gives eta = inf, and a finite one reads B_s = (conj(Y) A_s)' conj(Y) off
-    the `spectral.eigen_factor` Y of its rows (Y^H Y = conj(G)^{-1}).
+    The kernel gives the pattern's rows in canonical order, a lower-triangular
+    Y with Y^H Y = conj(G)^{-1} for their Gram G, and eta; Y is None exactly
+    when eta is inf, and then the pattern raises `SingularPatternError`.  With
+    z = conj(Y), columns taken in the pattern's order (column i is the
+    canonical position of pattern row i), z^H z = (A_s A_s')^{-1} and
+    B_s = (z A_s)' z.
     """
     a_s = frame.submatrix(pattern)  # checks the pattern
-    g = a_s @ a_s.conj().T
-    low = spectral.cholesky((g + g.conj().T) / 2.0)
-    if low is not None:
-        return cho_solve((low, True), a_s, check_finite=False).conj().T
-    es = spectral.gram_eigenvalues(frame, pattern)
-    if math.isinf(es.eta):
+    rows, y, eta = next(spectral.factored(frame, [pattern]))
+    if y is None:
         raise SingularPatternError(f"pattern {pattern} is numerically rank deficient")
-    y = spectral.eigen_factor(a_s, es.eigenvalues).conj()
-    return (y @ a_s).conj().T @ y
+    order = np.argsort(rows)
+    z = y.conj()[:, order[np.searchsorted(rows, pattern, sorter=order)]]
+    return (z @ a_s).conj().T @ z, eta
 
 
 @dataclass
@@ -141,13 +140,12 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     used = 0
     for idx, rng, rows in blocks:
         try:
-            b = encoder_matrix(frame, idx)
+            b, eta = encoder_matrix(frame, idx)
         except SingularPatternError:
             if pattern is not None:
                 raise SingularPatternError(f"fixed pattern {idx} is singular") from None
             continue
         a_s = frame.submatrix(idx)
-        eta = float(np.vdot(b, b).real) / m
         x = _draw(rng, (rows, k), sigma_x2, complex_field)
         q = _draw(rng, (rows, m), sigma_q2, complex_field)
         f = x @ b.T

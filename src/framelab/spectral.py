@@ -15,11 +15,11 @@ each pattern of a chunk as `canonical_rows` does, gathers each chunk's rows
 at once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
 the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
-mlie), `optimize.sampled_mlie` and `optimize.mlie_gradient` share it, so
-they agree bit for bit.  There is one singularity policy: `cholesky` gives
-no factor when potrf fails or its squared pivot ratio is under sqrt(eps),
-and then `gram_eigenvalues` decides singular (eta = inf) or finite, here
-and in `coder.encoder_matrix`.  Every finite pattern has one kind of
+mlie), `optimize.sampled_mlie`, `optimize.mlie_gradient` and
+`coder.encoder_matrix` share it, so they agree bit for bit.  There is one
+singularity policy: `cholesky` gives no factor when potrf fails or its
+squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
+singular (eta = inf) or finite.  Every finite pattern has one kind of
 inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}: L^{-1}, or
 `eigen_factor`'s Y without a Cholesky factor.  Where a finite eta is needed,
 a singular pattern raises `SingularPatternError`.  Every
@@ -276,9 +276,9 @@ def factored(data, idx):
 
 
 def inverse_energy(frame, pattern):
-    """eta_s via a Cholesky factorization of the pattern Gram (`factored`);
-    inf when singular."""
-    return next(factored(frame.data, [pattern]))[2]
+    """eta_s of one pattern of a Frame or of its rows, from `factored`; inf
+    when singular."""
+    return next(factored(frame, [pattern]))[2]
 
 
 # --- Marchenko--Pastur (i.i.d. frames), aspect ratio 1/beta ------------------

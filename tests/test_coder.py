@@ -2,11 +2,13 @@
 energy/distortion identities the model predicts."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from framelab import coder, frames, patterns, rd, spectral
 
@@ -14,7 +16,8 @@ from framelab import coder, frames, patterns, rd, spectral
 def test_encoder_matrix_unitary_is_adjoint():
     # orthonormal rows: (A_s A_s')^{-1} = I, so B_s is just the adjoint
     f = frames.build_bandlimited_dft(8, 8)
-    b = coder.encoder_matrix(f, (1, 4, 6))
+    b, eta = coder.encoder_matrix(f, (1, 4, 6))
+    assert eta == pytest.approx(3 / 8, rel=1e-15)
     assert b.shape == (8, 3)
     assert np.allclose(b, f.submatrix((1, 4, 6)).conj().T, atol=1e-12)
 
@@ -22,23 +25,64 @@ def test_encoder_matrix_unitary_is_adjoint():
 def test_encoder_matrix_interpolates_exactly():
     f = frames.build_dss(7)
     for pat in [(1, 5), (0, 2, 6), (3,)]:
-        b = coder.encoder_matrix(f, pat)
+        b, _ = coder.encoder_matrix(f, pat)
         a_s = f.submatrix(pat)
         assert np.allclose(a_s @ b, np.eye(len(pat)), atol=1e-10)
 
 
 def test_encoder_matrix_energy_is_eta():
+    # the encoder's eta is the kernel's, and ||B_s||^2 / m agrees with it
     f = frames.build_dss(11)
-    for pat in [(0, 3, 7), (1, 2, 4, 8), (5, 9)]:
-        b = coder.encoder_matrix(f, pat)
-        eta = np.vdot(b, b).real / f.m
-        assert abs(eta - spectral.inverse_energy(f, pat)) < 1e-10
+    for pat in [(0, 3, 7), (1, 2, 4, 8), (5, 9), (8, 4, 2, 1)]:
+        b, eta = coder.encoder_matrix(f, pat)
+        assert eta == spectral.inverse_energy(f, pat)
+        assert abs(np.vdot(b, b).real / f.m - eta) < 1e-10
 
 
 def test_encoder_matrix_singular():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])  # rows t and t+4 coincide
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(f, (0, 4))
+
+
+def _cho_solve_encoder(frame, pattern):
+    """B_s as the encoder formed it before it read the kernel's factor: a
+    numpy Gram in the pattern's order, symmetrized, and a Cholesky solve."""
+    a_s = frame.submatrix(pattern)
+    g = a_s @ a_s.conj().T
+    low = spectral.cholesky((g + g.conj().T) / 2.0)
+    assert low is not None  # a screened pattern took another route
+    return cho_solve((low, True), a_s, check_finite=False).conj().T
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda: frames.build_random_iid(40, 20, seed=0), 12),
+    (lambda: frames.build_random_iid(30, 16, field="complex", seed=1), 9),
+    (lambda: frames.build_paley_etf(38), 10),
+    (lambda: frames.build_dss(127), 50),
+], ids=["iid-real", "iid-complex", "paley38", "dss127"])
+def test_encoder_matrix_matches_the_cho_solve_encoder(build, k):
+    # the factor's canonical order maps back to the pattern's: sorted and
+    # shuffled patterns alike give the old solve's B_s to rounding
+    f = build()
+    rng = np.random.default_rng(k)
+    for t in range(20):
+        pat = rng.choice(f.n, k, replace=False)
+        pat = tuple((np.sort(pat) if t % 2 else pat).tolist())
+        b, eta = coder.encoder_matrix(f, pat)
+        want = _cho_solve_encoder(f, pat)
+        assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want), pat
+        assert eta == spectral.inverse_energy(f, pat)
+
+
+def test_encoder_matrix_reads_the_kernel_factor_only():
+    # no Gram, solve or singularity decision of the coder's own: every
+    # consumer reads one factor, one singular decision and one eta
+    source = inspect.getsource(coder)
+    for token in ("cho_solve", "scipy", "np.linalg", "vdot", "cholesky", "gram_eigenvalues",
+                  "eigen_factor", "spectral.gram", "a_s.conj().T"):
+        assert token not in source, token
+    assert "spectral.factored" in inspect.getsource(coder.encoder_matrix)
 
 
 def test_simulate_unitary_distortion():
@@ -100,11 +144,11 @@ def _reference_simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=No
     def lookup(idx):
         if idx not in cache:
             try:
-                b = coder.encoder_matrix(frame, idx)
+                b, eta = coder.encoder_matrix(frame, idx)
             except coder.SingularPatternError:
                 cache[idx] = None
             else:
-                cache[idx] = (frame.submatrix(idx), b, float(np.vdot(b, b).real) / m)
+                cache[idx] = (frame.submatrix(idx), b, eta)
         return cache[idx]
 
     if pattern is not None:
@@ -172,6 +216,8 @@ def test_simulate_sampled_matches_per_trial_reference(build, k, seed, skipped):
     f = build()
     got = coder.simulate(f, k, 1.0, 0.5, trials=300, seed=seed)
     assert got.singular_skipped == skipped
+    for idx, tally in got.per_pattern.items():  # the tally's eta is the kernel's
+        assert tally.eta == spectral.inverse_energy(f, idx)
     assert _report_fields(got) == _report_fields(
         _reference_simulate(f, k, 1.0, 0.5, trials=300, seed=seed))
 
@@ -190,7 +236,7 @@ def test_simulate_fixed_matches_block_reference():
     alpha = rd.wiener_alpha(1.0, 0.3)
     rng = np.random.default_rng(0)
     x = coder._draw(rng, (10000, 4), 1.0, False)
-    y = x @ coder.encoder_matrix(f, pattern).T + coder._draw(rng, (10000, f.m), 0.3, False)
+    y = x @ coder.encoder_matrix(f, pattern)[0].T + coder._draw(rng, (10000, f.m), 0.3, False)
     a_s = f.submatrix(pattern)
     assert np.any(alpha * (y @ a_s.T) != (alpha * y) @ a_s.T)
     got = _report_fields(coder.simulate(f, 4, 1.0, 0.3, trials=10000, pattern=pattern))
@@ -296,7 +342,8 @@ def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
                 coder.encoder_matrix(f, pat)
         else:
             finite += 1
-            b = coder.encoder_matrix(f, pat)
+            b, b_eta = coder.encoder_matrix(f, pat)
+            assert b_eta == eta
             assert np.vdot(b, b).real / f.m == pytest.approx(eta, rel=1e-4), (f.data, pat)
     assert singular >= 5 and finite >= 20
     # the eps = 5e-6 pattern the eigenvalue test keeps, just above the threshold
@@ -305,8 +352,8 @@ def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
 
 def test_encoder_matrix_failed_cholesky_falls_back(monkeypatch):
     f = frames.build_dss(11)
-    want = coder.encoder_matrix(f, (0, 3, 7))
+    want, _ = coder.encoder_matrix(f, (0, 3, 7))
     monkeypatch.setattr(spectral, "cholesky", lambda g: None)
-    assert np.allclose(coder.encoder_matrix(f, (0, 3, 7)), want, atol=1e-12)
+    assert np.allclose(coder.encoder_matrix(f, (0, 3, 7))[0], want, atol=1e-12)
     with pytest.raises(coder.SingularPatternError):
         coder.encoder_matrix(frames.build_dft_spectrum(8, [0, 2, 4, 6]), (0, 4))

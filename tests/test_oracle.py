@@ -23,7 +23,8 @@ pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
 EPS = np.finfo(float).eps
 # A finite eta lies within C eps max(1, eta) of the reference, relative: the
 # rounding of a Cholesky eta grows with the conditioning, which eta measures.
-# The worst fitted C over the sets below is 60 (contiguous bl101/50, k = 12).
+# The worst fitted C over the sets below is 60 (contiguous bl101/50, k = 12);
+# for an encoder's residual ||A_s B_s - I|| it is 18 (dss47, k = 20).
 C = 1e3
 
 
@@ -73,6 +74,11 @@ _ETA_SETS = {
     "iid_complex": lambda: _sampled(frames.build_random_iid(40, 16, field="complex", seed=3),
                                     8, 100, 3),
     "bl101_contiguous": lambda: _contiguous(101, 50, range(1, 13), np.array([0, 17, 50, 95])),
+    "paley38": lambda: _sampled(frames.build_paley_etf(38), 10, 100, 4),
+    "paley102": lambda: _sampled(frames.build_paley_etf(102), 40, 40, 5),
+    "spectrum61": lambda: _sampled(
+        frames.build_dft_spectrum(61, np.random.default_rng(4).choice(61, 30, replace=False)),
+        20, 60, 6),
 }
 
 
@@ -117,6 +123,17 @@ def test_reference_matches_exact_rationals(frame, pattern):
     assert error <= 1e-3 * EPS * max(1, exact) * exact
 
 
+def _encoder_within_the_reference(frame, pattern):
+    a_s = frame.submatrix(pattern)
+    b, eta = coder.encoder_matrix(frame, pattern)
+    ref = reference_eta(a_s)
+    residual = _wide(a_s) @ _wide(b) - np.eye(len(pattern))
+    assert np.sqrt(np.sum(np.abs(residual) ** 2)) <= C * EPS * max(1.0, ref)
+    energy = np.sum(np.abs(_wide(b)) ** 2) / frame.m
+    assert abs(energy - ref) <= C * EPS * max(1.0, ref) * ref
+    assert abs(eta - ref) <= C * EPS * max(1.0, ref) * ref
+
+
 @pytest.mark.parametrize("frame, pattern", [
     (_two_rows_at_angle(5e-6), (0, 1)), (_two_rows_at_angle(2e-6), (0, 1)),
     (_complex_rows_at_angle(4e-6, math.pi / 5), (0, 1)),
@@ -124,11 +141,25 @@ def test_reference_matches_exact_rationals(frame, pattern):
 ], ids=["real-5e-6", "real-2e-6", "complex-4e-6", "complex-k4-5e-6"])
 def test_screened_encoder_within_the_reference(frame, pattern):
     # no Cholesky factor here: the encoder reads B_s off the eigen route's Y
-    a_s = frame.submatrix(pattern)
-    assert spectral.cholesky(spectral.gram(a_s)) is None
-    b = coder.encoder_matrix(frame, pattern)
-    ref = reference_eta(a_s)
-    residual = _wide(a_s) @ _wide(b) - np.eye(len(pattern))
-    assert np.sqrt(np.sum(np.abs(residual) ** 2)) <= C * EPS * max(1.0, ref)
-    energy = np.sum(np.abs(_wide(b)) ** 2) / frame.m
-    assert abs(energy - ref) <= C * EPS * max(1.0, ref) * ref
+    assert spectral.cholesky(spectral.gram(frame.submatrix(pattern))) is None
+    _encoder_within_the_reference(frame, pattern)
+
+
+@pytest.mark.parametrize("frame, k, count, seed", [
+    (frames.build_bandlimited_dft(13, 7), 5, 40, 7),
+    (frames.build_dss(47), 20, 20, 8),
+    (frames.build_paley_etf(38), 10, 40, 9),
+], ids=["bl13", "dss47", "paley38"])
+def test_cholesky_route_encoder_out_of_canonical_order_within_the_reference(
+        frame, k, count, seed):
+    # the kernel factors the rows in canonical order; B_s's columns follow
+    # the pattern's order all the same
+    rng = np.random.default_rng(seed)
+    pats = [rng.permutation(p) for p in patterns.pattern_set(frame.n, k, "sampled", count,
+                                                             seed)[0]]
+    shuffled = 0
+    for p, (rows, _, _) in zip(pats, spectral.factored(frame, pats)):
+        assert spectral.cholesky(spectral.gram(frame.submatrix(p))) is not None
+        shuffled += not np.array_equal(p, rows)
+        _encoder_within_the_reference(frame, tuple(p.tolist()))
+    assert shuffled == count

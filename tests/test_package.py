@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 LIBRARY_MODULES = ("coder", "frames", "optimize", "patterns", "rd", "spectral")
 
@@ -44,3 +45,29 @@ def test_only_optimize_beta_loads_scipy_optimize():
                          capture_output=True, text=True, check=True).stdout
     # (beta*, delta*) as the module-level import gave them, bit for bit
     assert out.splitlines() == ["False", "True", "1.1897062735047033 0.4099523636740897"]
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the project's warning filters, a failed hypothesis test is one
+    # failure, and the tests after it still run
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          "test_property.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout

@@ -221,6 +221,17 @@ def test_every_route_refuses_what_check_patterns_refuses(route, pattern, match):
         _PATTERN_ROUTES[route](f, pattern)
 
 
+@pytest.mark.parametrize("label", sorted(_family_frames()))
+def test_inverse_energy_takes_a_frame_its_array_or_its_nested_list(label):
+    # like every eta route, inverse_energy reads rows through frame_rows
+    f = _family_frames()[label]
+    s = (0, 2, 3)
+    want = spectral.inverse_energy(f, s)
+    assert math.isfinite(want)
+    for rows in (f.data, f.data.tolist()):
+        assert spectral.inverse_energy(rows, s) == want
+
+
 def test_empty_patterns_are_named():
     f = frames.build_dss(7)
     with pytest.raises(frames.PatternError, match="empty pattern"):
@@ -629,9 +640,10 @@ def test_screened_finite_pattern_takes_the_eigen_factor(monkeypatch, frame):
     monkeypatch.setattr(spectral, "eigen_factor", lambda a, w: calls.append(a) or factor(a, w))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = coder.encoder_matrix(frame, (0, 1))
+        b, b_eta = coder.encoder_matrix(frame, (0, 1))
         grad = optimize.mlie_gradient(frame, [(0, 1)])[1]
     assert len(calls) == 2  # one for the encoder, one for the gradient
+    assert b_eta == eta
     pinv = np.linalg.pinv(a_s)
     assert np.linalg.norm(b - pinv) <= 1e-4 * np.linalg.norm(pinv)
     # A_s is square: G^{-2} A_s = A_s^{-H} A_s^{-1} A_s^{-H}
