@@ -36,6 +36,7 @@ __all__ = [
     "quadratic_difference_set",
     "build_dss",
     "build_paley_etf",
+    "legendre_symbol",
     "conference_matrix",
     "welch_bound",
     "verify_etf",
@@ -269,13 +270,20 @@ def build_dss(p) -> Frame:
     return build_dft_spectrum(ds.n, ds.elements, kind="dss")
 
 
+def legendre_symbol(q, r, name="p"):
+    """chi(x) for x in [0, q), as floats, for a prime q = r (mod 4): 0 at 0,
+    1 on the quadratic residues, -1 elsewhere."""
+    chi = -np.ones(q)
+    chi[list(_quadratic_residues(q, r, name))] = 1.0
+    chi[0] = 0.0
+    return chi
+
+
 def conference_matrix(n):
     """Symmetric conference matrix of order n = q+1, q = 1 (mod 4) prime
     (Paley, 1933): zero diagonal, +-1 off-diagonal, C C' = (n-1) I."""
     q = n - 1
-    chi = -np.ones(q)
-    chi[list(_quadratic_residues(q, 1, "q = n-1"))] = 1.0
-    chi[0] = 0.0
+    chi = legendre_symbol(q, 1, "q = n-1")
     # circulant Legendre core: Q[i, j] = chi(j - i)
     idx = (np.arange(q)[None, :] - np.arange(q)[:, None]) % q
     core = chi[idx]
@@ -372,7 +380,10 @@ def save_frame(frame, path):
 
 def load_frame(path) -> Frame:
     """Read a `save_frame` file; FrameError when the array disagrees with its
-    header's n, m and field."""
+    header's n, m and field, or when a "dss" header comes with rows other
+    than `build_dss(n)`'s: `spectral.inverse_energy` reads a dss frame's etas
+    off its construction, not off its rows.  '%.17g' writes every double so
+    that it reads back exactly, so a saved dss frame passes bit for bit."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         a = np.loadtxt(fh, ndmin=2)
@@ -385,6 +396,8 @@ def load_frame(path) -> Frame:
                          f"{cols} values, the file holds {a.shape[0]} of {a.shape[1]}")
     if field == "complex":
         a = a[:, :m] + 1j * a[:, m:]
+    if header["kind"] == "dss" and not np.array_equal(a, build_dss(n).data):
+        raise FrameError(f"{path}: kind 'dss' needs the rows of build_dss({n})")
     spectrum = header["spectrum"]
     return Frame(
         a,

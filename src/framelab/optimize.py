@@ -10,8 +10,9 @@ function with poles at rank drops.  The constraint manifold is "every row on
 the unit sphere"; steps are projected-gradient with Armijo backtracking, and
 local-minimum verification perturbs rows along random tangent directions.
 Each eta_s and the gradient core G^{-2} A_s come from `spectral.factored`,
-the factor `spectral.inverse_energy` uses, so rho equals the `mlie` of the
-same pattern set bit for bit and a pattern is singular exactly when
+the factor `spectral.inverse_energy` uses on rows and on every Frame but a
+dss one (`spectral.dss_eta`), so rho equals the `mlie` of the same pattern
+set bit for bit there and a pattern is singular exactly when
 `inverse_energy` gives inf.  Every finite pattern has an inverse factor
 there (L^{-1}, or the eigen route's Y), so the core is one chain of
 triangular products.  `mlie_gradient` returns rho with the gradient,
@@ -71,7 +72,7 @@ def project_rows(a):
 def sampled_mlie(frame_or_array, patterns):
     """rho over an explicit pattern list; inf if any pattern is singular.
     Summed by `patterns.mlie_bits`, as in `patterns.ie_statistics`, so the
-    same set gives the same bits."""
+    same set gives the same bits (on a dss Frame, to rounding)."""
     a = frame_rows(frame_or_array)
     # itemgetter keeps no pattern's L^{-1} while the next one is factored
     etas = list(map(itemgetter(2), spectral.factored(a, patterns)))

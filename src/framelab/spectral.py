@@ -16,7 +16,13 @@ at once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
 the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie`, `optimize.mlie_gradient` and
-`coder.encoder_matrix` share it, so they agree bit for bit.  There is one
+`coder.encoder_matrix` share it, so they agree bit for bit, with one
+exception: `inverse_energy` on a Frame whose kind is "dss" takes `dss_eta`,
+which reads eta off the pattern's real k x k Legendre matrix (no A_s and no
+complex Gram) and returns `factored`'s eta wherever its own factor or
+Sherman--Morrison denominator is in doubt.  So a dss Frame's eta and its
+bare rows' may differ in the last bits; every other route, and every
+caller that passes rows, takes `factored`.  There is one
 singularity policy: `cholesky` gives no factor when potrf fails or its
 squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
 singular (eta = inf) or finite.  Every finite pattern has one kind of
@@ -47,7 +53,7 @@ from functools import cache, partial
 import numpy as np
 from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, qr
 
-from .frames import check_patterns, frame_rows
+from .frames import Frame, check_patterns, frame_rows, legendre_symbol
 
 __all__ = [
     "SingularPatternError",
@@ -60,6 +66,7 @@ __all__ = [
     "eigen_factor",
     "factored",
     "factor_rows",
+    "dss_eta",
     "inverse_energy",
     "eta_from_eigenvalues",
     "cholesky",
@@ -275,9 +282,64 @@ def factored(data, idx):
         yield from factor_rows(data, rows)
 
 
+@cache
+def _legendre_table(p):
+    """chi(d mod p) at index d + p, for d in (-p, p): a pattern's Legendre
+    matrix is one gather from it, with no `%`."""
+    table = np.tile(legendre_symbol(p, 3), 2)
+    table.setflags(write=False)
+    return table
+
+
+def dss_eta(frame, pattern):
+    """eta_s of one pattern of a `frames.build_dss` Frame (n = p), read off
+    the Legendre symbol in real arithmetic.
+
+    By the Gauss sum, G = A_s A_s' = (pI - J + i sqrt(p) Q) / (2m) for the
+    real skew-symmetric Q[a, b] = chi(s_a - s_b) of the sorted pattern.
+    H = pI + i sqrt(p) Q has H^{-1} = (pI - i sqrt(p) Q) M^{-1} / p with
+    M = pI - Q^T Q, an integer matrix, so exact in float64.  With M = L L^T,
+    Y = L^{-1}, w = Y 1 and v = Y^T w (so M v = 1 and ||Q v||^2 =
+    p ||v||^2 - ||w||^2), Sherman--Morrison on G = (H - J) / (2m) gives
+
+        eta = 2 (||Y||_F^2 + (2 ||v||^2 - ||w||^2 / p) / (1 - ||w||^2)).
+
+    Where `cholesky` gives M no factor, or the denominator is at most
+    sqrt(eps), eta is `factored`'s: only the general kernel calls a pattern
+    singular.  No A_s or complex Gram is formed; eta agrees with `factored`'s
+    up to rounding, not bit for bit.  The Frame's kind is trusted: it is
+    `build_dss`'s, or `frames.load_frame` has checked the rows."""
+    p = frame.n
+    s = np.sort(check_patterns(p, [pattern])[0])
+    k = s.size
+    q = _legendre_table(p)[s[:, None] - (s - p)]
+    fn = routines(q.dtype)
+    # M = pI - Q^T Q in the lower triangle, onto pI in place (alpha=-1,
+    # beta=1, trans=0, lower, overwrite_c): q.T is Q^T in Fortran order, no copy
+    low = cholesky(fn["gram"](-1.0, q.T, 1.0, np.diag(np.full(k, float(p))).T, 0, 1, 1))
+    if low is not None:
+        y, info = fn["trtri"](low, 1, 0, 1)  # lower, unitdiag=0, overwrite_c
+        if info:
+            raise ValueError(f"trtri failed with info={info}")
+        # side=0 (left), lower, trans_a, diag=0, overwrite_b
+        w = fn["trmm"](1.0, y, np.ones((k, 1)), 0, 1, 0, 0, 1).ravel()
+        ww = float(fn["dot"](w, w))
+        v = fn["trmm"](1.0, y, w[:, None], 0, 1, 1, 0, 1).ravel()
+        den = 1.0 - ww
+        if den > _SQRT_EPS:
+            x = y.ravel("K")  # Fortran-ordered: a view
+            return 2.0 * (float(fn["dot"](x, x)) + (2.0 * float(fn["dot"](v, v)) - ww / p)
+                          / den)
+    return next(factored(frame, [pattern]))[2]
+
+
 def inverse_energy(frame, pattern):
-    """eta_s of one pattern of a Frame or of its rows, from `factored`; inf
-    when singular."""
+    """eta_s of one pattern of a Frame or of its rows; inf when singular.
+    A Frame whose kind is "dss" takes `dss_eta` (which falls back to
+    `factored` where its own factor is in doubt), anything else `factored`,
+    so a dss Frame's eta and its bare rows' may differ in the last bits."""
+    if isinstance(frame, Frame) and frame.kind == "dss":
+        return dss_eta(frame, pattern)
     return next(factored(frame, [pattern]))[2]
 
 

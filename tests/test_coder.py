@@ -31,11 +31,12 @@ def test_encoder_matrix_interpolates_exactly():
 
 
 def test_encoder_matrix_energy_is_eta():
-    # the encoder's eta is the kernel's, and ||B_s||^2 / m agrees with it
+    # the encoder's eta is the kernel's, and ||B_s||^2 / m agrees with it;
+    # the kernel's, so the bare rows' (a dss Frame takes `spectral.dss_eta`)
     f = frames.build_dss(11)
     for pat in [(0, 3, 7), (1, 2, 4, 8), (5, 9), (8, 4, 2, 1)]:
         b, eta = coder.encoder_matrix(f, pat)
-        assert eta == spectral.inverse_energy(f, pat)
+        assert eta == spectral.inverse_energy(f.data, pat)
         assert abs(np.vdot(b, b).real / f.m - eta) < 1e-10
 
 
@@ -72,7 +73,7 @@ def test_encoder_matrix_matches_the_cho_solve_encoder(build, k):
         b, eta = coder.encoder_matrix(f, pat)
         want = _cho_solve_encoder(f, pat)
         assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want), pat
-        assert eta == spectral.inverse_energy(f, pat)
+        assert eta == spectral.inverse_energy(f.data, pat)
 
 
 def test_encoder_matrix_reads_the_kernel_factor_only():
@@ -217,7 +218,7 @@ def test_simulate_sampled_matches_per_trial_reference(build, k, seed, skipped):
     got = coder.simulate(f, k, 1.0, 0.5, trials=300, seed=seed)
     assert got.singular_skipped == skipped
     for idx, tally in got.per_pattern.items():  # the tally's eta is the kernel's
-        assert tally.eta == spectral.inverse_energy(f, idx)
+        assert tally.eta == spectral.inverse_energy(f.data, idx)
     assert _report_fields(got) == _report_fields(
         _reference_simulate(f, k, 1.0, 0.5, trials=300, seed=seed))
 

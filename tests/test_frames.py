@@ -178,6 +178,26 @@ def test_conference_matrix_identity():
     assert np.abs(c @ c.T - 13 * np.eye(14)).max() == 0
 
 
+@pytest.mark.parametrize("q, r", [(7, 3), (13, 1), (31, 3), (101, 1), (947, 3)])
+def test_legendre_symbol_is_eulers_criterion(q, r):
+    chi = frames.legendre_symbol(q, r)
+    assert chi.tolist() == [0.0] + [1.0 if pow(x, (q - 1) // 2, q) == 1 else -1.0
+                                    for x in range(1, q)]
+    with pytest.raises(frames.FrameError, match="mod 4"):
+        frames.legendre_symbol(q, 4 - r)
+
+
+@pytest.mark.parametrize("p", [7, 31, 47])
+def test_dss_gram_is_the_gauss_sum_structure(p):
+    # the structure `spectral.dss_eta` reads eta off: with m = (p - 1) / 2,
+    # A A' = (pI - J + i sqrt(p) Q) / (2m) for Q[a, b] = chi(a - b)
+    f = frames.build_dss(p)
+    t = np.arange(p)
+    q = frames.legendre_symbol(p, 3)[(t[:, None] - t[None, :]) % p]
+    want = (p * np.eye(p) - 1.0 + 1j * np.sqrt(p) * q) / (2 * f.m)
+    assert np.abs(f.data @ f.data.conj().T - want).max() < 1e-14
+
+
 def test_verify_etf_dss7():
     rep = frames.verify_etf(frames.build_dss(7))
     assert rep.is_tight and rep.is_equiangular
@@ -439,6 +459,24 @@ def test_roundtrip_iid_preserves_seed(tmp_path):
     g = frames.load_frame(path)
     assert g.seed == 7 and g.kind == "random_iid"
     assert np.array_equal(f.data, g.data)
+
+
+def test_load_frame_takes_a_dss_header_only_with_the_dss_rows(tmp_path):
+    # `spectral.inverse_energy` reads a dss Frame's etas off its construction
+    path = tmp_path / "dss.frame"
+    frames.save_frame(frames.build_dss(31), path)
+    assert np.array_equal(frames.load_frame(path).data, frames.build_dss(31).data)
+    header, *rows = path.read_text().splitlines()
+    values = rows[5].split()
+    values[2] = "%.17g" % (float(values[2]) * (1 + 1e-12))  # unit norm to 1e-12
+    rows[5] = " ".join(values)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(frames.FrameError, match=re.escape("needs the rows of build_dss(31)")):
+        frames.load_frame(path)
+    fields = json.loads(header)
+    fields["kind"] = "custom"  # the same rows under another kind load as they are
+    path.write_text("\n".join([json.dumps(fields), *rows]) + "\n")
+    assert frames.load_frame(path).kind == "custom"
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -92,6 +92,29 @@ def test_eta_within_the_extended_precision_reference(label):
             assert abs(eta - ref) <= C * EPS * max(1.0, eta) * ref, (rows, eta, float(ref))
 
 
+# A difference-set frame's eta two ways: the kernel on its rows and
+# `spectral.dss_eta` on the Frame, at the paper's size and at k = m, where
+# eta reaches into the thousands.  Worst fitted C: 44 for the kernel (dss251,
+# k = 125) and 6 for the route.
+_DSS_SETS = {
+    "dss947_k378": lambda: _sampled(frames.build_dss(947), 378, 2, 10),
+    "dss47_k23": lambda: _sampled(frames.build_dss(47), 23, 40, 1),
+    "dss127_k63": lambda: _sampled(frames.build_dss(127), 63, 20, 1),
+    "dss251_k125": lambda: _sampled(frames.build_dss(251), 125, 6, 1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_DSS_SETS))
+def test_dss_kernel_and_route_within_the_extended_precision_reference(label):
+    frame, (pats,) = _DSS_SETS[label]()
+    for s, (rows, _, eta) in zip(pats, spectral.factored(frame.data, pats)):
+        route = spectral.inverse_energy(frame, s)
+        ref = reference_eta(frame.data[rows])
+        for got in (eta, route):
+            assert math.isfinite(got)
+            assert abs(got - ref) <= C * EPS * max(1.0, got) * ref, (rows, got, float(ref))
+
+
 def _exact_eta(a_s):
     """eta of real rows in rational arithmetic: tr(G^{-1}) / m by
     Gauss-Jordan elimination on [G | I], exact for the rows' double values."""

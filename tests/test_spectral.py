@@ -17,6 +17,7 @@ from framelab import cli, coder, frames, optimize, patterns, rd, spectral
 # law (see also the closed-form cross-check below)
 MANOVA_LIMIT_HALF_125 = 2.4
 MANOVA_LIMIT_947 = 2.3907297282276407  # beta = 473/378, m/n = 473/947
+EPS = np.finfo(float).eps
 
 
 def _unit_rows(a):
@@ -107,14 +108,15 @@ def test_pattern_validation():
 
 
 def test_eta_bitwise_invariant_under_row_relabeling():
-    # permuting frame rows and relabeling patterns must not move eta by a bit
+    # permuting frame rows and relabeling patterns must not move the
+    # kernel's eta by a bit (the rows: a dss Frame takes `dss_eta`)
     f = frames.build_dss(11)
     perm = np.random.default_rng(5).permutation(11)
     g = frames.Frame(f.data[perm])
     inv = np.argsort(perm)
     for s in [(0, 1, 2), (2, 5, 7, 9), (0, 4, 10)]:
         mapped = tuple(sorted(int(inv[i]) for i in s))
-        assert spectral.inverse_energy(f, s) == spectral.inverse_energy(g, mapped)
+        assert spectral.inverse_energy(f.data, s) == spectral.inverse_energy(g, mapped)
 
 
 def _family_frames():
@@ -223,13 +225,15 @@ def test_every_route_refuses_what_check_patterns_refuses(route, pattern, match):
 
 @pytest.mark.parametrize("label", sorted(_family_frames()))
 def test_inverse_energy_takes_a_frame_its_array_or_its_nested_list(label):
-    # like every eta route, inverse_energy reads rows through frame_rows
+    # like every eta route, inverse_energy reads rows through frame_rows; a
+    # dss Frame takes `dss_eta`, which matches its rows' eta to rounding
     f = _family_frames()[label]
     s = (0, 2, 3)
-    want = spectral.inverse_energy(f, s)
+    want = spectral.inverse_energy(f.data, s)
     assert math.isfinite(want)
-    for rows in (f.data, f.data.tolist()):
-        assert spectral.inverse_energy(rows, s) == want
+    assert spectral.inverse_energy(f.data.tolist(), s) == want
+    got = spectral.inverse_energy(f, s)
+    assert got == want if f.kind != "dss" else abs(got - want) <= 1e-14 * want
 
 
 def test_empty_patterns_are_named():
@@ -260,6 +264,89 @@ def test_inverse_energy_matches_eigen_route_dss947():
         b = spectral.gram_eigenvalues(f, s).eta
         assert math.isfinite(a)
         assert abs(a - b) <= 1e-12 * b
+
+
+# primes p = 3 (mod 4) in [7, 263]: every dss frame up to m = 131
+_DSS_PRIMES = [p for p in range(7, 264, 4) if all(p % d for d in range(3, p, 2))]
+
+
+@functools.cache
+def _dss(p):
+    return frames.build_dss(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_DSS_PRIMES), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example(7, 1.0, 0)
+@example(263, 1.0, 1)
+def test_dss_route_contract(p, fraction, seed):
+    # k from 1 to m, indices in a random order
+    f = _dss(p)
+    k = max(1, round(fraction * f.m))
+    s = np.random.default_rng(seed).choice(p, k, replace=False)
+    eta = spectral.inverse_energy(f, s)
+    assert not math.isnan(eta) and eta >= k / f.m - 1e-12
+    for order in (np.sort(s), s[::-1]):
+        assert spectral.inverse_energy(f, order) == eta
+    kernel = spectral.inverse_energy(f.data, s)
+    assert math.isfinite(eta) == math.isfinite(kernel)
+    if math.isfinite(eta):
+        assert abs(eta - kernel) <= 1e3 * EPS * max(1.0, eta) * eta, (eta, kernel)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = spectral.factored
+
+    def counted(data, idx):
+        calls.append(idx)
+        return kernel(data, idx)
+
+    monkeypatch.setattr(spectral, "factored", counted)
+    return calls
+
+
+_DSS47_PATTERNS = [tuple(range(0, 40, 2)), (46, 3, 17, 5, 30), tuple(range(23))]
+
+
+def test_dss_route_without_a_factor_of_m_is_the_kernel(monkeypatch):
+    # M is the one real matrix `cholesky` sees on a dss Frame
+    f = _dss(47)
+    factor = spectral.cholesky
+    monkeypatch.setattr(spectral, "cholesky",
+                        lambda g: None if g.dtype == np.float64 else factor(g))
+    calls = _count_kernel_calls(monkeypatch)
+    for s in _DSS47_PATTERNS:
+        assert spectral.inverse_energy(f, s) == spectral.inverse_energy(f.data, s)
+    assert len(calls) == 2 * len(_DSS47_PATTERNS)
+
+
+def test_dss_route_at_the_denominator_guard_is_the_kernel(monkeypatch):
+    # a factor 1000 times too small makes ||w||^2 >= 1: 1 - ||w||^2 <= sqrt(eps)
+    f = _dss(47)
+    factor = spectral.cholesky
+
+    def shrunk(g):
+        low = factor(g)
+        return low * 1e-3 if g.dtype == np.float64 else low
+
+    monkeypatch.setattr(spectral, "cholesky", shrunk)
+    calls = _count_kernel_calls(monkeypatch)
+    for s in _DSS47_PATTERNS:
+        assert spectral.inverse_energy(f, s) == spectral.inverse_energy(f.data, s)
+    assert len(calls) == 2 * len(_DSS47_PATTERNS)
+
+
+def test_dss_frame_takes_the_route_alone(monkeypatch):
+    # no A_s, no complex Gram: the kernel runs only for the bare rows
+    f = _dss(47)
+    want = [spectral.inverse_energy(f.data, s) for s in _DSS47_PATTERNS]
+    calls = _count_kernel_calls(monkeypatch)
+    etas = [spectral.inverse_energy(f, s) for s in _DSS47_PATTERNS]
+    assert calls == []
+    assert etas == [spectral.dss_eta(f, s) for s in _DSS47_PATTERNS]
+    for eta, kernel in zip(etas, want):
+        assert abs(eta - kernel) <= 1e3 * EPS * max(1.0, eta) * eta
 
 
 def _old_inverse_factor(a_s):
@@ -305,7 +392,7 @@ def test_inverse_energy_bitwise_equals_vdot_formula(label):
     for t in range(25):
         k = 1 + t % (f.m // 2)
         s = tuple(sorted(rng.choice(f.n, k, replace=False).tolist()))
-        assert spectral.inverse_energy(f, s) == _vdot_eta(f, s)
+        assert spectral.inverse_energy(f.data, s) == _vdot_eta(f, s)
 
 
 def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
@@ -313,15 +400,16 @@ def test_inverse_energy_bitwise_equals_vdot_formula_dss947():
     for t in range(3):
         s = tuple(sorted(np.random.default_rng((15, t)).choice(947, 378, replace=False)
                          .tolist()))
-        assert spectral.inverse_energy(f, s) == _vdot_eta(f, s)
+        assert spectral.inverse_energy(f.data, s) == _vdot_eta(f, s)
 
 
 def test_inverse_energy_calls_blas_only_through_scipy():
     # numpy's BLAS is a second library with its own thread pool; handing a
     # pattern's work to it costs more than the arithmetic
-    for fn in (spectral.inverse_energy, spectral.factored, spectral.factor_rows,
-               spectral.gram, spectral.gram_eigenvalues, spectral.eigen_factor,
-               spectral.eigen_histogram, patterns.square_random_divergence):
+    for fn in (spectral.inverse_energy, spectral.dss_eta, spectral.factored,
+               spectral.factor_rows, spectral.gram, spectral.gram_eigenvalues,
+               spectral.eigen_factor, spectral.eigen_histogram,
+               patterns.square_random_divergence):
         source = inspect.getsource(fn)
         for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
             assert token not in source, (fn.__name__, token)
