@@ -13,7 +13,8 @@ as a CSV (or JSON) data product with a full provenance header.
 singular.  Headers are `# key=value` lines (sorted), one `timestamp` line
 excepted from reproducibility: re-running with identical arguments reproduces
 every other byte.  Exit codes: 0 success; 2 configuration error (argparse or
-the library refused the input, or an output file cannot be written); 3
+the library refused the input, an input asks for more memory than there is,
+or an output file cannot be written); 3
 numerical failure (a numpy LinAlgError, such as `spectral.SingularPatternError`
 for a singular pattern where a finite eta is needed).
 """
@@ -229,6 +230,8 @@ def cmd_rate_loss(args):
     if args.p is None or not 0.0 < args.p < 1.0:
         raise ConfigError("--p in (0, 1) is required")
     grid = parse_grid(args.sdr_grid)
+    if grid[-1] > 3082.5:  # the grid ascends; gamma overflows a double just above 3082.5 dB
+        raise ConfigError(f"--sdr-grid point {grid[-1]!r} lies above 3082.5 dB: gamma overflows")
     si = rd.si_benchmark(args.p)
     rows = []
     signs = []
@@ -433,7 +436,8 @@ def main(argv=None):
     except np.linalg.LinAlgError as exc:  # a ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:  # ConfigError, or input the library refused
+    # ConfigError, input the library refused, or a size memory cannot hold
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -38,11 +38,12 @@ def encoder_matrix(frame, pattern):
     """The pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k, columns in the
     pattern's order) and eta_s = ||B_s||_F^2 / m, both from `spectral.factored`.
 
-    The kernel gives the pattern's rows in canonical order, a lower-triangular
-    Y with Y^H Y = conj(G)^{-1} for their Gram G, and eta; Y is None exactly
-    when eta is inf, and then the pattern raises `SingularPatternError`.  With
+    The kernel gives the pattern's rows in Y's order (canonical, or pstrf's
+    pivot order for a screened pattern), a lower-triangular Y with
+    Y^H Y = conj(G)^{-1} for their Gram G, and eta; Y is None exactly when
+    eta is inf, and then the pattern raises `SingularPatternError`.  With
     z = conj(Y), columns taken in the pattern's order (column i is the
-    canonical position of pattern row i), z^H z = (A_s A_s')^{-1} and
+    position of pattern row i in Y's order), z^H z = (A_s A_s')^{-1} and
     B_s = (z A_s)' z.
     """
     a_s = frame.submatrix(pattern)  # checks the pattern

@@ -14,8 +14,9 @@ the factor `spectral.inverse_energy` uses on rows and on every Frame but a
 dss one (`spectral.dss_eta`), so rho equals the `mlie` of the same pattern
 set bit for bit there and a pattern is singular exactly when
 `inverse_energy` gives inf.  Every finite pattern has an inverse factor
-there (L^{-1}, or the eigen route's Y), so the core is one chain of
-triangular products.  `mlie_gradient` returns rho with the gradient,
+there (L^{-1} of its Cholesky factor, or of pstrf's pivoted one for a
+screened pattern, whose rows then come in pivot order), so the core is one
+chain of triangular products.  `mlie_gradient` returns rho with the gradient,
 so each accepted iterate is factored once: the Armijo trial at the step the
 previous iteration accepted goes through `mlie_gradient` and, once accepted,
 hands the next iteration its gradient; every other trial is value-only
@@ -104,14 +105,15 @@ def mlie_gradient(frame_or_array, patterns):
 
 def _add_block(grad, a, rows, scale):
     """Add one block of `spectral.chunks` to the gradient and return its etas.
-    The block is factored first, so `factor_rows` has freed its own gather;
-    then the rows are gathered once more and each A_s is turned into its
-    scaled core in place.  np.add.at adds the cores unbuffered, in pattern
-    order: each entry of grad sums its terms in the order a per-pattern loop
-    would."""
+    The block is factored first, so `factor_rows` has freed its own gather
+    and left each pattern's rows in its Y's order (pivot order for a screened
+    pattern); then the rows are gathered once more, in that order, and each
+    A_s is turned into its scaled core in place.  np.add.at adds the cores
+    unbuffered, in pattern order: each entry of grad sums its terms in the
+    order a per-pattern loop would."""
     m = a.shape[1]
     factors = list(spectral.factor_rows(a, rows))
-    cores = a[rows]
+    cores = a[rows]  # after factor_rows: `rows` now holds each Y's order
     trmm = spectral.routines(a.dtype)["trmm"]
     for a_s, (r, y, eta) in zip(cores, factors):
         if y is None:

@@ -26,8 +26,11 @@ caller that passes rows, takes `factored`.  There is one
 singularity policy: `cholesky` gives no factor when potrf fails or its
 squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
 singular (eta = inf) or finite.  Every finite pattern has one kind of
-inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}: L^{-1}, or
-`eigen_factor`'s Y without a Cholesky factor.  Where a finite eta is needed,
+inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}, and one eta,
+||Y||_F^2 / m: Y = L^{-1}, where a pattern without a `cholesky` factor takes
+L from pstrf, the pivoted Cholesky, and its rows come in pivot order, so
+`factored` yields each pattern's rows in Y's order, which is the canonical
+order unless the pattern was screened.  Where a finite eta is needed,
 a singular pattern raises `SingularPatternError`.  Every
 route reads frame rows through `frames.frame_rows`, in float64 or complex128,
 and calls BLAS and LAPACK only through scipy, from one table for each
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs, qr
+from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs
 
 from .frames import Frame, check_patterns, frame_rows, legendre_symbol
 
@@ -63,7 +66,6 @@ __all__ = [
     "chunks",
     "gram",
     "gram_eigenvalues",
-    "eigen_factor",
     "factored",
     "factor_rows",
     "dss_eta",
@@ -152,14 +154,15 @@ def eta_from_eigenvalues(eigenvalues, m):
 @cache
 def routines(dtype):
     """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
-    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf and trtri.  The
-    kernel passes their flags by position: f2py parses keywords at about
-    1 us a call, as long as a whole k = 5 potrf takes."""
+    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf, pstrf (the
+    pivoted Cholesky of a screened finite pattern) and trtri.  The kernel
+    passes their flags by position: f2py parses keywords at about 1 us a
+    call, as long as a whole k = 5 potrf takes."""
     probe = np.empty(0, dtype)
     field = ("herk", "dotc") if np.iscomplexobj(probe) else ("syrk", "dot")
     blas = get_blas_funcs((*field, "trmm"), (probe,))
-    return dict(zip(("gram", "dot", "trmm", "potrf", "trtri"),
-                    (*blas, *get_lapack_funcs(("potrf", "trtri"), (probe,)))))
+    lapack = get_lapack_funcs(("potrf", "pstrf", "trtri"), (probe,))
+    return dict(zip(("gram", "dot", "trmm", "potrf", "pstrf", "trtri"), (*blas, *lapack)))
 
 
 def cholesky(g):
@@ -207,20 +210,6 @@ def gram_eigenvalues(frame, pattern) -> EigenSample:
     return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, data.shape[1]))
 
 
-def eigen_factor(a_s, w):
-    """The lower-triangular Y with Y^H Y = conj(G)^{-1}, G = A_s A_s', for a
-    pattern without a `cholesky` factor whose Gram has the ascending, finite
-    eigenvalues w.  With the eigenvectors V of conj(G), Z = diag(w)^{-1/2} V^H
-    has Z^H Z = conj(G)^{-1}; QR of Z with its columns reversed, Z P = Q R,
-    gives Y = P R P, R flipped in both axes, so Y is lower like `factored`'s
-    L^{-1}.  w is `gram_eigenvalues`', so ||Y||_F^2 / m is its eta up to
-    rounding: the eigenvalues `eigh` gives with vectors differ in their last
-    bits, which a screened pattern's conditioning magnifies in eta."""
-    v = eigh(gram(a_s), lower=True, driver="evd", overwrite_a=True, check_finite=False)[1]
-    # Z P = (P V diag(w)^{-1/2})^H
-    return qr((v[::-1] / np.sqrt(w)).conj().T, mode="r", check_finite=False)[0][::-1, ::-1]
-
-
 def chunks(data, idx):
     """The canonical rows of the (T, k) pattern set `idx` as consecutive
     (T_c, k) blocks: as many patterns as keep their k x m rows and k x k Grams
@@ -239,21 +228,29 @@ def factor_rows(data, rows):
     """`factored`'s triples for one block of canonical rows from `chunks`,
     over frame rows as `frames.frame_rows` gives them.  One gather forms every
     A_s of the block; it is dropped once their Grams are formed, and each
-    Gram is then factored in place.  A Gram without a `cholesky` factor takes
-    the eigen route: `gram_eigenvalues` gives its eta, and a finite one its
-    `eigen_factor`; Y is None only when eta is inf."""
+    Gram is then factored in place.  A Gram without a `cholesky` factor is
+    screened: `gram_eigenvalues` decides singular (Y None, eta inf) or finite,
+    and a finite one takes pstrf, the pivoted Cholesky P^T conj(G) P = L L^H
+    of a fresh Gram.  Its pattern's rows are then yielded in pivot order, the
+    order of Y = L^{-1}, and written back into `rows`: after the loop each
+    row of the block holds its pattern's rows in Y's order (canonical where
+    the pattern has a `cholesky` factor), so a caller that gathers A_s from
+    the block (the gradient) gathers it in Y's order."""
     m = data.shape[1]
     fn = routines(data.dtype)
-    a = data[rows]
-    grams = [gram(a_s) for a_s in a]
-    del a
+    grams = [gram(a_s) for a_s in data[rows]]  # the gather is freed once they exist
     for r, g in zip(rows, grams):
         low = cholesky(g)
         if low is None:
-            es = gram_eigenvalues(data, r)
-            y = None if math.isinf(es.eta) else eigen_factor(data[r], es.eigenvalues)
-            yield r, y, es.eta
-            continue
+            if math.isinf(gram_eigenvalues(data, r).eta):
+                yield r, None, math.inf
+                continue
+            # tol=0: the eigenvalues have decided, so pstrf stops only where a
+            # pivot is not positive; lower, overwrite_a
+            low, piv, _, info = fn["pstrf"](gram(data[r]), 0.0, 1, 1)
+            if info:
+                raise ValueError(f"pstrf failed with info={info}")
+            r[:] = r[piv - 1]
         inv_low, info = fn["trtri"](low, 1, 0, 1)  # lower, unitdiag=0, overwrite_c
         if info:
             raise ValueError(f"trtri failed with info={info}")
@@ -263,14 +260,16 @@ def factor_rows(data, rows):
 
 def factored(data, idx):
     """Per pattern of the (T, k) set `idx` over the frame rows `data`, the
-    triple (rows, Y, eta_s): the pattern's rows in canonical order, a
+    triple (rows, Y, eta_s): the pattern's rows in Y's order, a
     lower-triangular inverse factor Y with Y^H Y = conj(G)^{-1},
-    G = A_s A_s', and eta_s = ||Y||_F^2 / m.  With a `cholesky` factor L of
-    conj(G), Y = L^{-1}, and eta is read off it; L^{-1} has an exactly zero
-    strict upper triangle: `gram` leaves it zero, and potrf and trtri write
-    only the lower one.  Without one the eigenvalue route
-    (`gram_eigenvalues`) owns the singular/finite decision and eta, and Y is
-    `eigen_factor`'s.  Y is None exactly when eta is inf.
+    G = A_s A_s' of those rows, and eta_s = ||Y||_F^2 / m.  With a
+    `cholesky` factor L of conj(G), the rows are in canonical order and
+    Y = L^{-1}; L^{-1} has an exactly zero strict upper triangle: `gram`
+    leaves it zero, and potrf, pstrf and trtri write only the lower one.
+    Without one the eigenvalue route (`gram_eigenvalues`) owns the
+    singular/finite decision; a finite pattern's rows then come in the pivot
+    order of pstrf, P^T conj(G) P = L L^H, and Y = L^{-1} again.  Y is None
+    exactly when eta is inf.
 
     The set runs in `chunks`, each through `factor_rows`.  No A_s is kept:
     a chunk's rows are freed once its Grams are formed, so trtri and the copy

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -276,6 +277,45 @@ def test_rate_loss_rejects_bad_grid(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
     assert cli.main(["rate-loss", "--sdr-grid", "0:10:5",
                      "--out", str(tmp_path / "y.csv")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spec", ["3090:3090:1", "3080:3090:5", "0:4000:1000",
+                                  "3082.5000001:3082.6:1"])
+def test_rate_loss_refuses_a_grid_that_overflows_gamma(tmp_path, capsys, spec):
+    # gamma = 10^(dB/10) overflows a double just above 3082.5 dB, the
+    # largest point a grid may hold; it is refused before any point is
+    # computed or the output is opened
+    out = tmp_path / "x.csv"
+    assert cli.main(["rate-loss", "--p", "0.2", "--sdr-grid", spec,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "lies above 3082.5" in err
+    assert not out.exists()
+
+
+def test_rate_loss_keeps_the_largest_grid_points_that_fit(tmp_path):
+    out = tmp_path / "loss.csv"
+    assert cli.main(["rate-loss", "--p", "0.2", "--sdr-grid", "3000:3000:1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert _rows(out)[1] == ("3000.0,1e+300,1.0014361217690562,1.088837634804952,"
+                             "0.7219280948873623,0.9432073163195602,0.3669095399175897\n")
+    # 3082.5 dB, the largest point a grid may hold, still has a finite gamma
+    assert 1.7e308 < cli.rd.gamma_from_db(3082.5) < math.inf
+    assert cli.parse_grid("3082:3082.5:0.5") == [3082.0, 3082.5]
+
+
+def test_out_of_memory_exits_config(tmp_path, monkeypatch, capsys):
+    # construct dss --p 1000003 asks numpy for a 1000003 x 500001 complex
+    # array (7.28 TiB); the builder raises as numpy would, allocating nothing
+    def fail(p):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for the dss frame of p={p}")
+
+    monkeypatch.setattr(cli.frames, "build_dss", fail)
+    out = tmp_path / "x.frame"
+    assert cli.main(["construct", "dss", "--p", "1000003", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: Unable to allocate 7.28 TiB for the dss frame of p=1000003\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["0:inf:1", "nan:3:1", "0:3:nan", "-inf:3:1", "0:3:inf"])

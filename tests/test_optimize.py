@@ -88,8 +88,9 @@ def test_gradient_matches_eigh_reference(label):
 
 
 @pytest.mark.parametrize("label", sorted(_gradient_cases()))
-def test_gradient_eigen_factor_matches_cholesky_route(label, monkeypatch):
-    # without a Cholesky factor the eigen route gives eta and the inverse factor
+def test_gradient_pivoted_factor_matches_cholesky_route(label, monkeypatch):
+    # without a Cholesky factor the eigenvalues decide finite and pstrf gives
+    # the inverse factor, with the pattern's rows in pivot order
     f, k, count = _gradient_cases()[label]
     pats, _ = patterns.pattern_set(f.n, k, "sampled", count, seed=2)
     g = optimize.mlie_gradient(f, pats)[1]

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from framelab import coder, frames, patterns, spectral
-from test_spectral import _complex_rows_at_angle, _tilted_case, _two_rows_at_angle
+from test_spectral import (_SCREEN_EDGE, _complex_rows_at_angle, _tilted_case,
+                           _two_rows_at_angle)
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                                 reason="long double is no wider than double")
@@ -92,6 +93,53 @@ def test_eta_within_the_extended_precision_reference(label):
             assert abs(eta - ref) <= C * EPS * max(1.0, eta) * ref, (rows, eta, float(ref))
 
 
+def _tilted_sweep(count, seed):
+    """`count` frames with a pattern each, k = 2..9, real and complex, whose
+    row 1 lies at an angle log-uniform from 1e-7 to the Cholesky screen's
+    edge from row 0: every pattern is screened, and about half are finite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, complex_field = int(rng.integers(2, 10)), bool(rng.integers(0, 2))
+        theta = 10.0 ** rng.uniform(-7.0, math.log10(_SCREEN_EDGE))
+        yield _tilted_case(int(rng.integers(0, 10 ** 6)), m, theta, complex_field)
+
+
+def test_screened_eta_within_the_extended_precision_reference():
+    # the pivoted factor's eta: 192 of these 400 patterns are finite, with a
+    # fitted worst C of 12.7 (the eigenvalues' eta it replaced reached 52)
+    finite = 0
+    for frame, pattern in _tilted_sweep(400, 11):
+        assert spectral.cholesky(spectral.gram(frame.submatrix(pattern))) is None
+        (rows, y, eta), = spectral.factored(frame.data, [pattern])
+        assert (y is None) == math.isinf(eta)
+        if y is not None:
+            finite += 1
+            ref = reference_eta(frame.data[rows])
+            assert abs(eta - ref) <= C * EPS * max(1.0, eta) * ref, (rows, eta, float(ref))
+    assert 120 <= finite <= 280
+
+
+def test_singular_verdict_follows_the_reference_eta():
+    # The singularity policy in terms of eta.  Unit rows give
+    # 1 <= lambda_max <= tr G = k and 1/lambda_min <= m eta <= k/lambda_min,
+    # and `eta_from_eigenvalues` calls inf at lambda_min <= 1e-12 lambda_max:
+    # so eta is finite below m eta_ref = 0.5e12 / k and inf above 2e12 k,
+    # each a factor 2 clear of the threshold.  Between the two the policy
+    # may go either way (163 of these 600 patterns; 260 lie below, 177 above).
+    decided = {True: 0, False: 0}
+    for frame, pattern in _tilted_sweep(600, 12):
+        k = len(pattern)
+        eta = spectral.inverse_energy(frame, pattern)
+        m_eta_ref = frame.m * reference_eta(frame.submatrix(pattern))
+        if m_eta_ref < 0.5e12 / k:
+            assert math.isfinite(eta), (pattern, float(m_eta_ref))
+            decided[True] += 1
+        elif m_eta_ref > 2e12 * k:
+            assert eta == math.inf, (pattern, float(m_eta_ref))
+            decided[False] += 1
+    assert min(decided.values()) >= 100, decided
+
+
 # A difference-set frame's eta two ways: the kernel on its rows and
 # `spectral.dss_eta` on the Frame, at the paper's size and at k = m, where
 # eta reaches into the thousands.  Worst fitted C: 44 for the kernel (dss251,
@@ -163,7 +211,7 @@ def _encoder_within_the_reference(frame, pattern):
     _tilted_case(0, 4, 5e-6, True),
 ], ids=["real-5e-6", "real-2e-6", "complex-4e-6", "complex-k4-5e-6"])
 def test_screened_encoder_within_the_reference(frame, pattern):
-    # no Cholesky factor here: the encoder reads B_s off the eigen route's Y
+    # no Cholesky factor here: the encoder reads B_s off pstrf's pivoted Y
     assert spectral.cholesky(spectral.gram(frame.submatrix(pattern))) is None
     _encoder_within_the_reference(frame, pattern)
 

@@ -2,6 +2,7 @@ import functools
 import inspect
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -408,8 +409,7 @@ def test_inverse_energy_calls_blas_only_through_scipy():
     # pattern's work to it costs more than the arithmetic
     for fn in (spectral.inverse_energy, spectral.dss_eta, spectral.factored,
                spectral.factor_rows, spectral.gram, spectral.gram_eigenvalues,
-               spectral.eigen_factor, spectral.eigen_histogram,
-               patterns.square_random_divergence):
+               spectral.eigen_histogram, patterns.square_random_divergence):
         source = inspect.getsource(fn)
         for token in ("np.vdot", "np.dot", "np.linalg", " @ "):
             assert token not in source, (fn.__name__, token)
@@ -486,8 +486,8 @@ def test_factored_zero_upper_bitwise_equals_old_factor(label):
 def _chunk_case(complex_field):
     """12 x 6 unit rows and 10 patterns of 3.  Row 7 copies row 2, so pattern
     4 is singular; row 9 lies 5e-6 from row 4, so pattern 7 trips the pivot
-    screen and is finite, with the eigen route's factor.  Both take the eigen
-    route, mid-chunk at 3 patterns to a chunk."""
+    screen and is finite, with pstrf's pivoted factor.  Both take the eigen
+    route's verdict, mid-chunk at 3 patterns to a chunk."""
     a = np.array(random_unit_frame(12, 6, 21, complex_field).data)
     a[7] = a[2]
     v = a[0] - np.vdot(a[4], a[0]) * a[4]
@@ -579,6 +579,7 @@ def test_routine_table_matches_scipy_getters(dtype):
         "dot": get_blas_funcs("dotc" if herm else "dot", (probe,)),
         "trmm": get_blas_funcs("trmm", (probe,)),
         "potrf": get_lapack_funcs(("potrf",), (probe,))[0],
+        "pstrf": get_lapack_funcs(("pstrf",), (probe,))[0],
         "trtri": get_lapack_funcs(("trtri",), (probe,))[0],
     }
     table = spectral.routines(probe.dtype)
@@ -690,17 +691,34 @@ def test_inverse_energy_failed_cholesky_exit(monkeypatch):
     assert len(calls) == 1
 
 
+def _exact_two_row_eta(a_s):
+    """eta of two real rows in rational arithmetic, exact for their double
+    values: tr(G^{-1}) / m = (g00 + g11) / (m det G)."""
+    rows = [[Fraction(x) for x in r] for r in a_s.tolist()]
+    (g00, g01), (_, g11) = ([sum(x * y for x, y in zip(ri, rj)) for rj in rows] for ri in rows)
+    return (g00 + g11) / (a_s.shape[1] * (g00 * g11 - g01 * g01))
+
+
 @pytest.mark.parametrize("theta, finite", [(5e-6, True), (1e-7, False)])
 def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     # pivot^2 = sin^2(theta) <= 2.5e-11 trips the pivot test; the eigen route
-    # then keeps lambda_min = 1 - cos(theta) finite above 2e-12 and inf below
+    # then keeps lambda_min = 1 - cos(theta) finite above 2e-12 and inf below.
+    # A finite eta is read off the pivoted factor: ||Y||_F^2 / m, within the
+    # oracle's C = 1e3 of the rows' exact eta (the eigenvalues' eta differs
+    # from it by 4e-6 relative at eta = 4e10)
     calls = _count_eigen_fallbacks(monkeypatch)
     f = _two_rows_at_angle(theta)
     eta = spectral.inverse_energy(f, (0, 1))
     assert len(calls) == 1
     assert not math.isnan(eta)
     assert math.isfinite(eta) == finite
-    assert eta == spectral.gram_eigenvalues(f, (0, 1)).eta
+    (_, y, y_eta), = spectral.factored(f.data, [(0, 1)])
+    assert y_eta == eta and (y is None) == (not finite)
+    if finite:
+        assert not np.triu(y, 1).any()
+        assert abs(np.sum(y * y) / 2 - eta) <= 2 * EPS * eta
+        exact = _exact_two_row_eta(f.data[:2])
+        assert abs(Fraction(eta) - exact) <= Fraction(1e3 * EPS) * eta * exact
 
 
 def _complex_rows_at_angle(theta, phase):
@@ -715,22 +733,23 @@ def _complex_rows_at_angle(theta, phase):
     _two_rows_at_angle(5e-6), _two_rows_at_angle(2e-6),
     _complex_rows_at_angle(4e-6, math.pi / 5),
 ], ids=["real-5e-6", "real-2e-6", "complex-4e-6"])
-def test_screened_finite_pattern_takes_the_eigen_factor(monkeypatch, frame):
+def test_screened_finite_pattern_takes_the_pivoted_factor(monkeypatch, frame):
     # pivot^2 = sin^2(theta) trips the screen, yet lambda_min / lambda_max =
     # tan^2(theta / 2) stays above SINGULARITY_RATIO (6.25e-12, 1.0000056e-12
-    # and 4e-12): finite, with no Cholesky factor
+    # and 4e-12): finite, with no Cholesky factor, so pstrf gives Y
     a_s = frame.data[:2]
     assert spectral.cholesky(spectral.gram(a_s)) is None
-    eta = spectral.gram_eigenvalues(frame, (0, 1)).eta
-    assert math.isfinite(eta)
+    assert math.isfinite(spectral.gram_eigenvalues(frame, (0, 1)).eta)
+    eta = spectral.inverse_energy(frame, (0, 1))
     calls = []
-    factor = spectral.eigen_factor
-    monkeypatch.setattr(spectral, "eigen_factor", lambda a, w: calls.append(a) or factor(a, w))
+    table = spectral.routines(a_s.dtype)
+    pstrf = table["pstrf"]
+    monkeypatch.setitem(table, "pstrf", lambda g, *flags: calls.append(len(g)) or pstrf(g, *flags))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         b, b_eta = coder.encoder_matrix(frame, (0, 1))
         grad = optimize.mlie_gradient(frame, [(0, 1)])[1]
-    assert len(calls) == 2  # one for the encoder, one for the gradient
+    assert calls == [2, 2]  # one for the encoder, one for the gradient
     assert b_eta == eta
     pinv = np.linalg.pinv(a_s)
     assert np.linalg.norm(b - pinv) <= 1e-4 * np.linalg.norm(pinv)
@@ -740,6 +759,27 @@ def test_screened_finite_pattern_takes_the_eigen_factor(monkeypatch, frame):
     want = 0.5 * (m / n) / (eta * math.log(2.0)) * (-2.0 / m) * core
     assert np.linalg.norm(grad[:2] - want) <= 1e-4 * np.linalg.norm(want)
     assert not grad[2].any()
+
+
+def test_pivoted_factor_cut_short_raises(monkeypatch):
+    # pstrf stops (info = 1) where a pivot is not positive, leaving the rest
+    # of the block unfactored; trtri would invert it without complaint
+    frame = _two_rows_at_angle(5e-6)
+    table = spectral.routines(frame.data.dtype)
+    pstrf = table["pstrf"]
+    monkeypatch.setitem(table, "pstrf", lambda g, *flags: (*pstrf(g, *flags)[:2], 1, 1))
+    with pytest.raises(ValueError, match="pstrf failed with info=1"):
+        spectral.inverse_energy(frame, (0, 1))
+
+
+def test_factor_rows_takes_no_eigensolver():
+    # a screened finite pattern is factored by pstrf from the routine table;
+    # eigenvalues only decide singular or finite, through gram_eigenvalues
+    source = inspect.getsource(spectral.factor_rows)
+    for token in ("eigh(", "qr(", "eigen_factor"):
+        assert token not in source, token
+    assert not hasattr(spectral, "eigen_factor")
+    assert 'fn["pstrf"]' in source
 
 
 def test_one_singular_pattern_exception():
