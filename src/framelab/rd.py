@@ -76,11 +76,19 @@ def scheme_rate(n, m, eta, gamma):
 
 def excess_rate(p, beta, gamma, eta):
     """Exact excess over the RDF:
-    (p/2) [beta log2(eta gamma + 1 - eta) - log2 gamma]."""
+    (p/2) [beta log2(eta gamma + 1 - eta) - log2 gamma].
+
+    Where eta gamma overflows a double (gamma near 1e308), log2 of the
+    argument is taken as log2(eta) + log2(gamma + (1 - eta)/eta).  Python
+    floats overflow to inf silently; numpy scalars also warn."""
     arg = eta * gamma + (1.0 - eta)
-    if arg <= 0.0:
-        raise ValueError("eta*gamma + 1 - eta must be positive")
-    return 0.5 * p * (beta * math.log2(arg) - math.log2(gamma))
+    if arg == math.inf:
+        log_arg = math.log2(eta) + math.log2(gamma + (1.0 - eta) / eta)
+    else:
+        if arg <= 0.0:
+            raise ValueError("eta*gamma + 1 - eta must be positive")
+        log_arg = math.log2(arg)
+    return 0.5 * p * (beta * log_arg - math.log2(gamma))
 
 
 def excess_rate_highres(p, beta, gamma, eta):
@@ -138,8 +146,8 @@ def optimize_beta(p, gamma):
     i0 = min(range(len(vals)), key=vals.__getitem__)
     blo = grid[max(i0 - 1, 0)]
     bhi = grid[min(i0 + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda b: random_transform_excess(p, b, gamma),
+    res = minimize_scalar(  # its trial points are numpy scalars: see excess_rate
+        lambda b: random_transform_excess(p, float(b), gamma),
         bounds=(blo, bhi), method="bounded",
         options={"xatol": BETA_TOL / 10.0},
     )

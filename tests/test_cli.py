@@ -304,6 +304,20 @@ def test_rate_loss_keeps_the_largest_grid_points_that_fit(tmp_path):
     assert cli.parse_grid("3082:3082.5:0.5") == [3082.0, 3082.5]
 
 
+def test_rate_loss_past_the_eta_gamma_overflow_continues_the_trend(tmp_path):
+    # at 3080 dB eta * gamma overflows on part of the beta range; the point
+    # stays finite, warns nothing (the suite turns warnings into errors) and
+    # rises by about as much as from 3000 to 3040 dB
+    out = tmp_path / "loss.csv"
+    assert cli.main(["rate-loss", "--p", "0.2", "--sdr-grid", "3000:3080:40",
+                     "--out", str(out)]) == cli.EXIT_OK
+    deltas = [float(row.split(",")[3]) for row in _rows(out)[1:]]
+    assert len(deltas) == 3 and all(math.isfinite(d) for d in deltas)
+    assert deltas[0] == 1.088837634804952 and deltas[1] == 1.0907333797948469
+    rise, last_rise = deltas[1] - deltas[0], deltas[2] - deltas[1]
+    assert 0.0 < last_rise and abs(last_rise - rise) < 0.1 * rise, deltas
+
+
 def test_out_of_memory_exits_config(tmp_path, monkeypatch, capsys):
     # construct dss --p 1000003 asks numpy for a 1000003 x 500001 complex
     # array (7.28 TiB); the builder raises as numpy would, allocating nothing

@@ -244,6 +244,18 @@ def test_frame_rejects_non_finite_data(kind, bad):
         frames.Frame(b, kind=kind)
 
 
+@pytest.mark.parametrize("kind", ["custom", "dss", "paley_etf"])
+def test_frame_rejects_finite_rows_whose_squares_overflow(kind):
+    # every entry is finite, so the finiteness message would be wrong; the
+    # row's sum of squares overflows, and no warning rises from it
+    a = frames.build_dss(7).data.copy()
+    a[3] = 1e200
+    for b in (a, a.real.copy()):
+        with pytest.raises(frames.FrameError,
+                           match=re.escape("rows must be unit norm (max deviation inf)")):
+            frames.Frame(b, kind=kind)
+
+
 def _row_check_verdict(a):
     """The unit-row gate's verdict: the float64 row norm of the data cast to
     float64 (complex128 when complex)."""
@@ -405,6 +417,9 @@ def _paley_formula(n):
 _SPEC = {n: sorted(np.random.default_rng(n).choice(n, n // 2, replace=False).tolist())
          for n in (13, 947)}
 
+# holds both ends of the frequency range, out of order
+_UNSORTED_130 = [129, *np.random.default_rng(130).permutation(np.arange(1, 129))[:40].tolist(), 0]
+
 _FORMULA_CASES = {
     "bl13_7": (lambda: frames.build_bandlimited_dft(13, 7), lambda: _roots_formula(13, range(7))),
     "bl947_473": (lambda: frames.build_bandlimited_dft(947, 473),
@@ -417,7 +432,16 @@ _FORMULA_CASES = {
               lambda: _roots_formula(31, frames.quadratic_difference_set(31).elements)),
     "dss947": (lambda: frames.build_dss(947),
                lambda: _roots_formula(947, frames.quadratic_difference_set(947).elements)),
+    # the gather's 64-row blocks: fewer rows than one block, one block, one
+    # row past it, and two blocks plus a row; then a square frame (m = n)
+    **{f"bl{n}_{m}": (lambda n=n, m=m: frames.build_bandlimited_dft(n, m),
+                      lambda n=n, m=m: _roots_formula(n, range(m)))
+       for n, m in ((1, 1), (63, 31), (64, 32), (65, 33), (129, 64), (130, 130))},
+    "spectrum130_unsorted": (lambda: frames.build_dft_spectrum(130, _UNSORTED_130),
+                             lambda: _roots_formula(130, _UNSORTED_130)),
     "paley38": (lambda: frames.build_paley_etf(38), lambda: _paley_formula(38)),
+    # several blocks written through a strided complex view of a real buffer
+    "paley998": (lambda: frames.build_paley_etf(998), lambda: _paley_formula(998)),
     **{f"iid_{field}_{n}x{m}_seed{seed}": (
         lambda n=n, m=m, field=field, seed=seed: frames.build_random_iid(n, m, field, seed),
         lambda n=n, m=m, field=field, seed=seed: _iid_formula(n, m, field, seed))

@@ -90,6 +90,21 @@ def test_excess_rate_domain_guard():
         rd.excess_rate(0.2, 2.0, 0.5, 3.0)  # eta*gamma + 1 - eta <= 0
 
 
+def test_excess_rate_where_eta_gamma_overflows():
+    # eta * gamma passes 1.8e308 here; a float product overflows to inf with
+    # no warning (the suite turns warnings into errors)
+    gamma = 1e308
+    for eta in (4.0, 1e6, 1e300):
+        got = rd.excess_rate(0.2, 1.25, gamma, eta)
+        want = 0.1 * (1.25 * (math.log2(eta) + math.log2(gamma)) - math.log2(gamma))
+        assert math.isfinite(got) and abs(got - want) < 1e-12 * abs(want)
+    # just below the overflow the product form is kept
+    eta = 1.7
+    assert math.isfinite(eta * gamma)
+    assert rd.excess_rate(0.2, 1.25, gamma, eta) == \
+        0.1 * (1.25 * math.log2(eta * gamma + (1.0 - eta)) - math.log2(gamma))
+
+
 @given(
     p=st.floats(0.05, 0.95),
     beta=st.floats(1.0, 4.0),
