@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 BETA_TOL = 1e-6  # optimize_beta refines beta* to BETA_TOL / 10
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # _fminbound's golden-section ratio
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAXFUN = 500
 
 
 def gamma_from_db(sdr_db):
@@ -80,7 +83,8 @@ def excess_rate(p, beta, gamma, eta):
 
     Where eta gamma overflows a double (gamma near 1e308), log2 of the
     argument is taken as log2(eta) + log2(gamma + (1 - eta)/eta).  Python
-    floats overflow to inf silently; numpy scalars also warn."""
+    floats overflow to inf silently, and optimize_beta's grid and refine
+    hand it only Python floats; numpy scalars would also warn."""
     arg = eta * gamma + (1.0 - eta)
     if arg == math.inf:
         log_arg = math.log2(eta) + math.log2(gamma + (1.0 - eta) / eta)
@@ -123,6 +127,74 @@ def random_transform_excess(p, beta, gamma):
     return excess_rate(p, beta, gamma, 1.0 / (beta - 1.0))
 
 
+def _fminbound(func, a, b):
+    """Brent's bounded minimization of func on [a, b]: golden-section steps,
+    and a parabolic step through the three best points wherever it lands inside
+    the bracket.  Returns (xf, fx).
+
+    A transcription, in Python floats, of scipy 1.17's `minimize_scalar`
+    bounded method (`_minimize_scalar_bounded`) at xatol = BETA_TOL / 10 and
+    500 evaluations: the same trial points in the same order, so the same
+    (x, fun) to the bit."""
+    xatol = BETA_TOL / 10.0
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # the parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:  # too near a bound
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
+
+
 def optimize_beta(p, gamma):
     """Minimize random_transform_excess over beta in (1, 1/p].
 
@@ -130,29 +202,25 @@ def optimize_beta(p, gamma):
     for f(x) = (x + 1) ln(1 + c/x), and f''(x) = c (c + (2 - c) x) / (x (x + c))^2:
     f is convex for c <= 2, and for c > 2 f' rises from -inf to its maximum at
     x = c/(c - 2), then falls toward 0+.  So f' has at most one zero on
-    (0, 1/p - 1] and the minimum is unique: a dense grid finds its basin, and a
-    bounded scalar search refines it.  Returns (beta_star, delta_star).
+    (0, 1/p - 1] and the minimum is unique: a dense grid finds its basin, and
+    `_fminbound`, Brent's bounded search, refines it on the grid points either
+    side.  The refine lives here rather than in scipy.optimize: importing that
+    package would cost every rate-loss process about 19 MB and 0.15 s, and
+    rate-loss bytes would hang on the installed scipy's optimizer.  Returns
+    (beta_star, delta_star).
     """
-    # deferred: the optimizer package adds about 0.3 s and 20 MB to start-up,
-    # and only rate-loss reaches this function
-    from scipy.optimize import minimize_scalar
-
     if p >= 1.0:
         raise ValueError("p = 1 leaves no admissible beta")
     hi = 1.0 / p
     lo = 1.0 + 1e-9
     grid = [lo + (hi - lo) * i / 9999 for i in range(10000)]
+    grid[-1] = min(grid[-1], hi)  # the last point can round above 1/p
     vals = [random_transform_excess(p, b, gamma) for b in grid]
     i0 = min(range(len(vals)), key=vals.__getitem__)
     blo = grid[max(i0 - 1, 0)]
     bhi = grid[min(i0 + 1, len(grid) - 1)]
-    res = minimize_scalar(  # its trial points are numpy scalars: see excess_rate
-        lambda b: random_transform_excess(p, float(b), gamma),
-        bounds=(blo, bhi), method="bounded",
-        options={"xatol": BETA_TOL / 10.0},
-    )
-    beta_star = float(res.x)
-    delta_star = float(res.fun)
+    beta_star, delta_star = _fminbound(
+        lambda b: random_transform_excess(p, b, gamma), blo, bhi)
     if vals[i0] < delta_star:  # guard: refinement must not lose to the grid
         beta_star, delta_star = grid[i0], vals[i0]
     return beta_star, delta_star

@@ -279,6 +279,15 @@ def test_rate_loss_rejects_bad_grid(tmp_path):
                      "--out", str(tmp_path / "y.csv")]) == cli.EXIT_CONFIG
 
 
+def test_rate_loss_takes_a_p_whose_top_grid_point_rounds_above_one_over_p(tmp_path):
+    # at p = 0.03 the beta grid's last point rounds to just above 1/p
+    out = tmp_path / "loss.csv"
+    assert cli.main(["rate-loss", "--p", "0.03", "--sdr-grid", "0:20:10",
+                     "--out", str(out)]) == cli.EXIT_OK
+    betas = [float(row.split(",")[2]) for row in _rows(out)[1:]]
+    assert len(betas) == 3 and all(1.0 < b <= 1.0 / 0.03 for b in betas)
+
+
 @pytest.mark.parametrize("spec", ["3090:3090:1", "3080:3090:5", "0:4000:1000",
                                   "3082.5000001:3082.6:1"])
 def test_rate_loss_refuses_a_grid_that_overflows_gamma(tmp_path, capsys, spec):

@@ -28,23 +28,32 @@ def test_every_all_name_resolves(name):
 
 _IMPORT_FOOTPRINT = """
 import sys
-import framelab
 import framelab.cli
 print("scipy.optimize" in sys.modules)
-from framelab import rd
+from framelab import cli, rd
 beta, delta = rd.optimize_beta(0.2, 100.0)
 print("scipy.optimize" in sys.modules)
 print(repr(beta), repr(delta))
+dss7 = ["--frame", "dss", "--p", "7", "--k", "2"]
+for argv in (["rate-loss", "--p", "0.2", "--sdr-grid", "0:20:10"],
+             ["construct", "dss", "--p", "7"],
+             ["ie-hist", *dss7], ["mlie", *dss7], ["eig-hist", *dss7],
+             ["coder", *dss7, "--trials", "10"], ["optimize", *dss7, "--iters", "1"]):
+    assert cli.main(argv + ["--out", argv[0] + ".out"]) == 0, argv
+    print(argv[0], "scipy.optimize" in sys.modules)
 """
 
 
-def test_only_optimize_beta_loads_scipy_optimize():
+def test_no_subcommand_loads_scipy_optimize(tmp_path):
     # a fresh interpreter: this test session may already hold scipy.optimize
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
+    out = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
-    # (beta*, delta*) as the module-level import gave them, bit for bit
-    assert out.splitlines() == ["False", "True", "1.1897062735047033 0.4099523636740897"]
+    lines = [line for line in out.splitlines() if not line.startswith("#")]  # construct's header
+    # (beta*, delta*) as scipy's minimize_scalar refined them, bit for bit
+    assert lines == ["False", "False", "1.1897062735047033 0.4099523636740897",
+                     "rate-loss False", "construct False", "ie-hist False", "mlie False",
+                     "eig-hist False", "coder False", "optimize False"]
 
 
 _FAILING_PROPERTY = """

@@ -195,6 +195,84 @@ def test_excess_turns_at_most_once():
         assert np.count_nonzero(steps[1:] != steps[:-1]) <= 1, (p, db)
 
 
+def _parent_optimize_beta(p, gamma):
+    # optimize_beta as it stood with scipy's refine: the same grid (without
+    # the clamp of its top point), then minimize_scalar's bounded method
+    from scipy.optimize import minimize_scalar
+
+    hi = 1.0 / p
+    lo = 1.0 + 1e-9
+    grid = [lo + (hi - lo) * i / 9999 for i in range(10000)]
+    vals = [rd.random_transform_excess(p, b, gamma) for b in grid]
+    i0 = min(range(len(vals)), key=vals.__getitem__)
+    res = minimize_scalar(
+        lambda b: rd.random_transform_excess(p, float(b), gamma),
+        bounds=(grid[max(i0 - 1, 0)], grid[min(i0 + 1, len(grid) - 1)]),
+        method="bounded", options={"xatol": rd.BETA_TOL / 10.0},
+    )
+    beta_star, delta_star = float(res.x), float(res.fun)
+    if vals[i0] < delta_star:
+        beta_star, delta_star = grid[i0], vals[i0]
+    return beta_star, delta_star
+
+
+_SWEEP_P = (0.01, 0.05, 0.2, 0.37, 0.5, 0.73, 0.99)
+_SWEEP_DB = (0.0, 0.001, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 17.0, 30.0, 50.0, 80.0,
+             120.0, 200.0, 300.0, 1000.0, 3054.0, 3080.0, 3082.0)
+
+
+def test_optimize_beta_matches_the_scipy_refine_bit_for_bit():
+    for p in _SWEEP_P:
+        for db in _SWEEP_DB:
+            gamma = rd.gamma_from_db(db)
+            got = rd.optimize_beta(p, gamma)
+            assert got == _parent_optimize_beta(p, gamma), (p, db)
+            assert all(type(v) is float for v in got)
+
+
+_SYNTHETIC = {
+    # accepted parabolic steps, one pulled back from a bound
+    "quadratic": (lambda x: (x - 0.3) ** 2, 0.0, 1.0),
+    "quartic": (lambda x: (x - 1.2345) ** 4, 1.0, 2.0),
+    "cosine": (lambda x: 0.1 * x ** 3 - math.cos(3.0 * x), -1.0, 2.0),
+    # kinks and a jump: parabolas rejected for golden-section steps
+    "kink": (lambda x: abs(x - 0.3), 0.0, 1.0),
+    "cusp": (lambda x: math.sqrt(abs(x - 0.7123)), 0.0, 1.0),
+    "jump": (lambda x: 0.0 if x > 0.42 else 1.0, 0.0, 1.0),
+    # the minimum at either bound, and no minimum at all
+    "rising": (lambda x: x, 0.0, 1.0),
+    "falling": (lambda x: -x, 0.0, 1.0),
+    "constant": (lambda x: 2.5, 0.0, 1.0),
+    # 500 evaluations run out, through overflowed and nan parabolas
+    "wide": (abs, -1e300, 1e300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTHETIC))
+def test_fminbound_takes_minimize_scalars_steps(name):
+    from scipy.optimize import minimize_scalar
+
+    f, a, b = _SYNTHETIC[name]
+    calls = []
+    x, fun = rd._fminbound(lambda t: calls.append(t) or f(t), a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize_scalar(f, bounds=(a, b), method="bounded",
+                              options={"xatol": rd.BETA_TOL / 10.0})
+    assert (x, fun, len(calls)) == (res.x, res.fun, res.nfev)
+    assert all(type(t) is float for t in calls)
+
+
+@pytest.mark.parametrize("p", [0.004, 0.03, 0.2216922228897025, 0.544])
+def test_optimize_beta_where_the_top_grid_point_rounds_above_one_over_p(p):
+    # lo + (hi - lo) * 9999 / 9999 exceeds hi = 1/p at these p
+    lo, hi = 1.0 + 1e-9, 1.0 / p
+    assert lo + (hi - lo) * 9999 / 9999 > hi
+    for db in (0.0, 20.0, 300.0):
+        beta_star, delta_star = rd.optimize_beta(p, rd.gamma_from_db(db))
+        assert 1.0 < beta_star <= hi
+        assert math.isfinite(delta_star)
+
+
 def test_optimize_beta_vanishes_at_low_sdr():
     # the optimal excess is tiny near gamma = 1 and grows with gamma
     deltas = [rd.optimize_beta(0.2, g)[1] for g in (1.01, 1.1, 2.0, 10.0, 1000.0)]
