@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -105,7 +106,10 @@ class Frame:
     its memory (`base is None`), so no writeable array shares that memory.  Anything
     else, of any real or complex dtype, is copied into such an array.  The
     builders hand over a fresh array frozen this way, so a frame is built in
-    the one buffer it keeps."""
+    the one buffer it keeps.
+
+    `kind` is a label, unchecked, with one exception: the label that selects
+    a numeric path, "dss", selects it only through `has_dss_rows`."""
 
     data: np.ndarray
     kind: str = "custom"
@@ -150,6 +154,19 @@ class Frame:
     @property
     def field(self):
         return "complex" if np.iscomplexobj(self.data) else "real"
+
+    @cached_property
+    def has_dss_rows(self):
+        """Whether kind is "dss" and the rows are `build_dss(n)`'s bit for bit:
+        `spectral.inverse_energy` reads such a Frame's etas off its
+        construction.  Checked once per Frame; `build_dss` records True."""
+        if self.kind != "dss":
+            return False
+        try:
+            rows = build_dss(self.n).data
+        except FrameError:  # n is no prime = 3 mod 4
+            return False
+        return np.array_equal(self.data, rows)
 
     def submatrix(self, pattern):
         """The pattern's rows in the order given; `check_patterns` checks it."""
@@ -279,7 +296,9 @@ def quadratic_difference_set(p) -> DifferenceSet:
 def build_dss(p) -> Frame:
     """DFT frame on the quadratic difference-set spectrum mod p."""
     ds = quadratic_difference_set(p)
-    return build_dft_spectrum(ds.n, ds.elements, kind="dss")
+    frame = build_dft_spectrum(ds.n, ds.elements, kind="dss")
+    vars(frame)["has_dss_rows"] = True  # the rows the check compares with: none is paid
+    return frame
 
 
 def legendre_symbol(q, r, name="p"):
@@ -392,10 +411,8 @@ def save_frame(frame, path):
 
 def load_frame(path) -> Frame:
     """Read a `save_frame` file; FrameError when the array disagrees with its
-    header's n, m and field, or when a "dss" header comes with rows other
-    than `build_dss(n)`'s: `spectral.inverse_energy` reads a dss frame's etas
-    off its construction, not off its rows.  '%.17g' writes every double so
-    that it reads back exactly, so a saved dss frame passes bit for bit."""
+    header's n, m and field.  '%.17g' writes every double so that it reads
+    back exactly, so a saved frame's rows come back bit for bit."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         a = np.loadtxt(fh, ndmin=2)
@@ -408,8 +425,6 @@ def load_frame(path) -> Frame:
                          f"{cols} values, the file holds {a.shape[0]} of {a.shape[1]}")
     if field == "complex":
         a = a[:, :m] + 1j * a[:, m:]
-    if header["kind"] == "dss" and not np.array_equal(a, build_dss(n).data):
-        raise FrameError(f"{path}: kind 'dss' needs the rows of build_dss({n})")
     spectrum = header["spectrum"]
     return Frame(
         a,

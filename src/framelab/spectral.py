@@ -17,12 +17,13 @@ the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie`, `optimize.mlie_gradient` and
 `coder.encoder_matrix` share it, so they agree bit for bit, with one
-exception: `inverse_energy` on a Frame whose kind is "dss" takes `dss_eta`,
-which reads eta off the pattern's real k x k Legendre matrix (no A_s and no
-complex Gram) and returns `factored`'s eta wherever its own factor or
-Sherman--Morrison denominator is in doubt.  So a dss Frame's eta and its
-bare rows' may differ in the last bits; every other route, and every
-caller that passes rows, takes `factored`.  There is one
+exception: `inverse_energy` on a Frame holding `build_dss`'s rows (its
+`has_dss_rows`, checked once per Frame; a kind is otherwise a label) takes
+`dss_eta`, which reads eta off the pattern's real k x k Legendre matrix (no
+A_s and no complex Gram) and returns `factored`'s eta wherever its own
+factor or Sherman--Morrison denominator is in doubt.  So such a Frame's eta
+and its bare rows' may differ in the last bits; every other Frame, and
+every caller that passes rows, takes `factored`.  There is one
 singularity policy: `cholesky` gives no factor when potrf fails or its
 squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
 singular (eta = inf) or finite.  Every finite pattern has one kind of
@@ -291,8 +292,9 @@ def _legendre_table(p):
 
 
 def dss_eta(frame, pattern):
-    """eta_s of one pattern of a `frames.build_dss` Frame (n = p), read off
-    the Legendre symbol in real arithmetic.
+    """eta_s of one pattern of a Frame holding `frames.build_dss`'s rows
+    (n = p), read off the Legendre symbol in real arithmetic, not off the
+    rows: `inverse_energy` calls it only where `Frame.has_dss_rows` holds.
 
     By the Gauss sum, G = A_s A_s' = (pI - J + i sqrt(p) Q) / (2m) for the
     real skew-symmetric Q[a, b] = chi(s_a - s_b) of the sorted pattern.
@@ -306,8 +308,7 @@ def dss_eta(frame, pattern):
     Where `cholesky` gives M no factor, or the denominator is at most
     sqrt(eps), eta is `factored`'s: only the general kernel calls a pattern
     singular.  No A_s or complex Gram is formed; eta agrees with `factored`'s
-    up to rounding, not bit for bit.  The Frame's kind is trusted: it is
-    `build_dss`'s, or `frames.load_frame` has checked the rows."""
+    up to rounding, not bit for bit."""
     p = frame.n
     s = np.sort(check_patterns(p, [pattern])[0])
     k = s.size
@@ -334,10 +335,11 @@ def dss_eta(frame, pattern):
 
 def inverse_energy(frame, pattern):
     """eta_s of one pattern of a Frame or of its rows; inf when singular.
-    A Frame whose kind is "dss" takes `dss_eta` (which falls back to
+    A Frame whose `has_dss_rows` holds takes `dss_eta` (which falls back to
     `factored` where its own factor is in doubt), anything else `factored`,
-    so a dss Frame's eta and its bare rows' may differ in the last bits."""
-    if isinstance(frame, Frame) and frame.kind == "dss":
+    so such a Frame's eta and its bare rows' may differ in the last bits; a
+    Frame merely labelled "dss" gets its rows' etas."""
+    if isinstance(frame, Frame) and frame.has_dss_rows:
         return dss_eta(frame, pattern)
     return next(factored(frame, [pattern]))[2]
 
@@ -384,8 +386,6 @@ def _check_manova_params(m_over_n, beta):
     w = m_over_n
     if not 0.0 < w < 1.0:
         raise ValueError("need 0 < m/n < 1")
-    if beta > 1.0 / w:
-        raise ValueError("beta cannot exceed n/m (k >= 1 rows of n)")
     # k + m > n forces rank overlap between the selected rows and the frame's
     # column space, putting a point mass at n/m that the continuous density
     # misses.  Only possible when m/n > 1/2.
@@ -416,8 +416,8 @@ def manova_eta_limit(beta, m_over_n=0.5):
 
     It lies between the floor 1/beta = k/m and the i.i.d. limit 1/(beta - 1).
     At beta <= 1 the support reaches zero and the moment diverges (inf).
-    ValueError for w outside (0, 1), for beta > 1/w and for the point-mass
-    range 1 <= beta < w / (1 - w), where k + m > n.
+    ValueError for w outside (0, 1) and for the point-mass range
+    1 <= beta < w / (1 - w), where k + m > n.
     """
     _check_manova_params(m_over_n, beta)
     if beta <= 1.0:
@@ -444,7 +444,7 @@ def reference_law(frame, k) -> ReferenceLaw:
                             mp_eta_limit(beta), (0.0, 1.02 * mp_edges(beta)[1]))
     tight = (0.0, frame.n / frame.m)
     if frame.kind in ("dss", "dft_spectrum", "paley_etf"):
-        with contextlib.suppress(ValueError):  # square frame, beta > n/m or k + m > n
+        with contextlib.suppress(ValueError):  # square frame or k + m > n
             return ReferenceLaw("manova", partial(manova_density, m_over_n=w, beta=beta),
                                 manova_eta_limit(beta, w), tight)
     return ReferenceLaw("none", lambda x: np.zeros(np.shape(x)), None, tight)

@@ -485,22 +485,75 @@ def test_roundtrip_iid_preserves_seed(tmp_path):
     assert np.array_equal(f.data, g.data)
 
 
-def test_load_frame_takes_a_dss_header_only_with_the_dss_rows(tmp_path):
-    # `spectral.inverse_energy` reads a dss Frame's etas off its construction
+def test_load_frame_reads_a_mislabelled_dss_file_as_its_rows(tmp_path, monkeypatch):
+    # a "dss" header over rows other than build_dss(n)'s loads as it is and
+    # gets its rows' etas; the exact file keeps build_dss's etas
+    f = frames.build_dss(31)
     path = tmp_path / "dss.frame"
-    frames.save_frame(frames.build_dss(31), path)
-    assert np.array_equal(frames.load_frame(path).data, frames.build_dss(31).data)
+    frames.save_frame(f, path)
+    exact = frames.load_frame(path)
     header, *rows = path.read_text().splitlines()
     values = rows[5].split()
     values[2] = "%.17g" % (float(values[2]) * (1 + 1e-12))  # unit norm to 1e-12
     rows[5] = " ".join(values)
     path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(frames.FrameError, match=re.escape("needs the rows of build_dss(31)")):
-        frames.load_frame(path)
-    fields = json.loads(header)
-    fields["kind"] = "custom"  # the same rows under another kind load as they are
-    path.write_text("\n".join([json.dumps(fields), *rows]) + "\n")
-    assert frames.load_frame(path).kind == "custom"
+    g = frames.load_frame(path)
+    assert g.kind == "dss" and exact.has_dss_rows and not g.has_dss_rows
+    pats = [(0, 5, 9), (1, 2, 3, 5, 8, 13)]
+    assert [spectral.inverse_energy(exact, s) for s in pats] == [
+        spectral.inverse_energy(f, s) for s in pats]
+    monkeypatch.setattr(spectral, "dss_eta", None)  # g never takes the route
+    assert [spectral.inverse_energy(g, s) for s in pats] == [
+        spectral.inverse_energy(g.data, s) for s in pats]
+
+
+def _mislabelled():
+    """Both ways a "dss" label can sit on rows other than build_dss(31)'s."""
+    perm = np.random.default_rng(0).permutation(31)
+    return {
+        "permuted_rows": frames.Frame(frames.build_dss(31).data[perm], kind="dss"),
+        "other_spectrum": frames.Frame(frames.build_dft_spectrum(31, range(15)).data,
+                                       kind="dss"),
+    }
+
+
+@pytest.mark.parametrize("label, eta", [("permuted_rows", 0.2995391705069126),
+                                        ("other_spectrum", 0.9596292058139092)])
+def test_a_dss_label_on_other_rows_gets_its_rows_etas(label, eta, monkeypatch):
+    g = _mislabelled()[label]
+    monkeypatch.setattr(spectral, "dss_eta", None)
+    assert g.kind == "dss" and not g.has_dss_rows
+    assert spectral.inverse_energy(g, (0, 1, 2, 5)) == spectral.inverse_energy(
+        g.data, (0, 1, 2, 5)) == pytest.approx(eta, rel=1e-13)  # BLAS kernels differ in bits
+    stats = patterns.ie_statistics(g, 4, "sampled", trials=20, seed=3)
+    rows = patterns.ie_statistics(frames.Frame(g.data), 4, "sampled", trials=20, seed=3)
+    assert stats.samples.tolist() == rows.samples.tolist()
+
+
+@pytest.mark.parametrize("n, m", [(15, 7), (13, 6), (1, 1)])  # no prime, 1 mod 4, no prime
+def test_a_dss_label_at_n_without_a_dss_frame_takes_the_rows(n, m, monkeypatch):
+    g = frames.Frame(frames.build_dft_spectrum(n, range(m)).data, kind="dss")
+    monkeypatch.setattr(spectral, "dss_eta", None)
+    assert not g.has_dss_rows
+    assert spectral.inverse_energy(g, [0]) == spectral.inverse_energy(g.data, [0])
+    if n == 15:
+        assert spectral.inverse_energy(g, (0, 1, 2, 5)) == pytest.approx(2.457189409632599,
+                                                                        rel=1e-13)
+
+
+def test_dss_rows_are_checked_once_per_frame_and_never_for_build_dss(monkeypatch):
+    f = frames.build_dss(31)
+    copy = frames.Frame(np.array(f.data), kind="dss")
+    calls = []
+    build_dss, array_equal = frames.build_dss, np.array_equal
+    monkeypatch.setattr(frames, "build_dss", lambda p: calls.append("build") or build_dss(p))
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append("equal") or
+                        array_equal(a, b))
+    pats = patterns.pattern_set(31, 5, "sampled", 10, seed=1)[0]
+    etas = [spectral.inverse_energy(f, s) for s in pats]
+    assert f.has_dss_rows and calls == []
+    assert [spectral.inverse_energy(copy, s) for s in pats] == etas
+    assert copy.has_dss_rows and calls == ["build", "equal"]
 
 
 @pytest.mark.parametrize("key, value, message", [

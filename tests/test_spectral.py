@@ -981,7 +981,7 @@ def test_manova_density_support_and_mass():
     lo, hi = spectral.manova_edges(0.5, 1.25)
     assert spectral.manova_density(lo - 1e-6, 0.5, 1.25) == 0.0
     assert spectral.manova_density(hi + 1e-6, 0.5, 1.25) == 0.0
-    for beta in (1.25, 2.0):
+    for beta in (1.25, 2.0, 3.0, 20.0):  # past n/m = 2 as well
         lo, hi = spectral.manova_edges(0.5, beta)
         val, _ = integrate.quad(lambda x: spectral.manova_density(x, 0.5, beta),
                                 lo, hi, limit=200)
@@ -1004,13 +1004,14 @@ def test_manova_eta_limit_closed_form_cross_check():
 
 @st.composite
 def _manova_domain(draw):
-    """Valid (beta, w) for the continuous law: 1 < beta <= 1/w and
-    beta >= w/(1 - w).  The gap to the low end of the beta range is drawn on a
-    log scale, down to 1e-5 of the range."""
+    """Valid (beta, w) for the continuous law: beta > 1 and beta >= w/(1 - w),
+    here up to 100/w, far past n/m = 1/w.  The gap to the low end of the beta
+    range is drawn on a log scale, down to 1e-7 of the range."""
     w = draw(st.floats(0.01, 0.6))
     lo = max(1.0, w / (1.0 - w))
-    beta = lo + (1.0 / w - lo) * 10.0 ** draw(st.floats(-5.0, 0.0))
-    return min(beta, 1.0 / w), w
+    hi = 100.0 / w
+    beta = lo + (hi - lo) * 10.0 ** draw(st.floats(-7.0, 0.0))
+    return min(beta, hi), w
 
 
 @settings(max_examples=200, deadline=None)
@@ -1034,8 +1035,7 @@ def test_manova_eta_limit_divergence_and_domain():
         spectral.manova_eta_limit(1.25, 1.5)
     with pytest.raises(ValueError):
         spectral.manova_density(1.0, 0.5, 0.9)
-    with pytest.raises(ValueError):
-        spectral.manova_density(1.0, 0.5, 2.5)  # beta above n/m
+    assert spectral.manova_density(1.0, 0.5, 2.5) > 0.0  # beta above n/m: k < m^2/n
     with pytest.raises(ValueError, match="point mass"):
         spectral.manova_eta_limit(1.2, 0.7)  # k + m > n
     assert spectral.manova_eta_limit(0.8) == math.inf  # sub-unit beta still signals
@@ -1057,12 +1057,21 @@ def _law_cases():
                          8, "manova"),
         "paley": (frames.build_paley_etf(38), 12, "manova"),
         "paley_full": (frames.build_paley_etf(38), 19, "manova"),
-        "paley_m_over_k_above_n_over_m": (frames.build_paley_etf(38), 9, "none"),
+        "paley_m_over_k_above_n_over_m": (frames.build_paley_etf(38), 9, "manova"),
         "spectrum_k_plus_m_above_n": (frames.build_dft_spectrum(8, range(6)), 5, "none"),
         "square_dft": (frames.build_dft_spectrum(8, range(8)), 3, "none"),
         "bandlimited": (frames.build_bandlimited_dft(13, 7), 5, "none"),
         "custom": (random_unit_frame(31, 12, seed=6), 8, "none"),
     }
+
+
+def test_dss947_with_fewer_than_m_squared_over_n_rows_reads_manova():
+    # k = 150 < m^2/n = 236.2, so beta = m/k lies past n/m; the law holds there
+    f = frames.build_dss(947)
+    law = spectral.reference_law(f, 150)
+    assert law.name == "manova" and f.m / 150 > f.n / f.m
+    mean = patterns.ie_statistics(f, 150, "sampled", trials=40, seed=0).mean
+    assert mean == pytest.approx(law.eta_limit, rel=0.01)
 
 
 @pytest.mark.parametrize("label", sorted(_law_cases()))
