@@ -22,7 +22,6 @@ from .frames import (
     load_frame,
 )
 from .spectral import (
-    EigenSample,
     EigenHistogram,
     gram_eigenvalues,
     inverse_energy,

@@ -276,12 +276,18 @@ class DifferenceSet:
         return np.rint(corr).astype(np.int64)
 
 
-def _quadratic_residues(p, r, name="p"):
-    """The nonzero squares mod p, sorted, for a prime p = r (mod 4)."""
+def _check_prime(p, r, name="p"):
+    """Refuse p unless it is a prime = r (mod 4): O(sqrt p), so a builder
+    runs it before anything that grows with p."""
     if not _is_prime(p):
         raise FrameError(f"{name}={p} is not prime")
     if p % 4 != r:
         raise FrameError(f"{name}={p} is not {r} mod 4")
+
+
+def _quadratic_residues(p, r, name="p"):
+    """The nonzero squares mod p, sorted, for a prime p = r (mod 4)."""
+    _check_prime(p, r, name)
     # squaring 1..p-1 covers each residue twice
     return tuple(sorted({x * x % p for x in range(1, p)}))
 
@@ -294,9 +300,14 @@ def quadratic_difference_set(p) -> DifferenceSet:
 
 
 def build_dss(p) -> Frame:
-    """DFT frame on the quadratic difference-set spectrum mod p."""
+    """DFT frame on the quadratic difference-set spectrum mod p:
+    `build_dft_spectrum` on its elements, except that the p x m buffer is
+    allocated, or refused with MemoryError, before the O(p) residue work."""
+    _check_prime(p, 3)
+    a = np.empty((p, (p - 1) // 2), dtype=np.complex128)
     ds = quadratic_difference_set(p)
-    frame = build_dft_spectrum(ds.n, ds.elements, kind="dss")
+    _gather_roots(p, ds.elements, np.sqrt(ds.m), a)
+    frame = Frame(_frozen(a), kind="dss", spectrum=ds.elements)
     vars(frame)["has_dss_rows"] = True  # the rows the check compares with: none is paid
     return frame
 
@@ -337,10 +348,13 @@ def build_paley_etf(n) -> Frame:
     row 0 is e_0, and row t+1 is 1/sqrt(q), then 2/sqrt(q) times
     cos(2 pi t f / q) and sin(2 pi t f / q) in its odd and even columns, for
     each quadratic residue f < q/2 (one of each residue pair {f, q-f}).
+    The n x n/2 buffer is allocated, or refused with MemoryError, before the
+    O(n) residue work.
     """
     q = n - 1
-    f = [x for x in _quadratic_residues(q, 1, "q = n-1") if 2 * x < q]
+    _check_prime(q, 1, "q = n-1")
     a = np.zeros((n, n // 2))
+    f = [x for x in _quadratic_residues(q, 1, "q = n-1") if 2 * x < q]
     a[0, 0] = 1.0
     a[1:, 0] = 1.0 / np.sqrt(q)
     # (cos, sin) pairs in adjacent columns are complex128's own layout, so

@@ -196,7 +196,8 @@ def square_random_divergence(k_list, trials=100, seed=0, zeta=1.0):
         for t in range(trials):
             rng = np.random.default_rng((seed, j, t))
             a = rng.standard_normal((k, k)) / math.sqrt(k)
-            vals[t] = spectral.gram_eigenvalues(a, range(k)).eta
+            w, = spectral.gram_eigenvalues(a, [range(k)])
+            vals[t] = spectral.eta_from_eigenvalues(w, k)
         finite = vals[np.isfinite(vals)]
         lo = k ** 2 / (2.0 * math.pi * math.e)
         hi = k ** 3 / (2.0 * math.pi * math.e)

@@ -10,8 +10,8 @@ with equality exactly when the rows of A_s are orthonormal.  Singular
 submatrices report eta = inf rather than an overflow artifact.
 
 One kernel, `factored`, gives every eta: it checks a (T, k) set once
-(`frames.check_patterns`), splits it into `chunks` bounded in bytes, orders
-each pattern of a chunk as `canonical_rows` does, gathers each chunk's rows
+(`frames.check_patterns`), splits it into `chunks` bounded in bytes, puts
+each pattern of a chunk in canonical row order, gathers each chunk's rows
 at once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
 the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
@@ -61,9 +61,7 @@ from .frames import Frame, check_patterns, frame_rows, legendre_symbol
 
 __all__ = [
     "SingularPatternError",
-    "EigenSample",
     "EigenHistogram",
-    "canonical_rows",
     "chunks",
     "gram",
     "gram_eigenvalues",
@@ -109,20 +107,15 @@ class SingularPatternError(np.linalg.LinAlgError):
     needed (an encoder, a gradient, an MLIE).  A LinAlgError, so a ValueError."""
 
 
-def canonical_rows(data, idx):
-    """Row indices of the (T, k) pattern set `idx`, each pattern's rows in
-    canonical (lexicographic) order of their entries.
+def _canonical_order(data, idx):
+    """Row indices of the (T, k) set `idx`, which `frames.check_patterns` has
+    passed, each pattern's rows in canonical (lexicographic) order of their
+    entries.
 
     Reordering rows conjugates the Gram by a permutation, which leaves
     eigenvalues and eta mathematically fixed but perturbs floating point;
     sorting first makes eta bitwise invariant under row/pattern relabeling.
     """
-    data = frame_rows(data)
-    return _canonical_order(data, check_patterns(len(data), idx))
-
-
-def _canonical_order(data, idx):
-    """`canonical_rows` of a set `frames.check_patterns` has passed."""
     idx = np.sort(idx, axis=1)
     n, (t, k) = len(data), idx.shape
     # One lexsort orders the whole set, the pattern as primary key.  Once the
@@ -187,14 +180,6 @@ def cholesky(g):
     return low
 
 
-@dataclass(frozen=True)
-class EigenSample:
-    """Spectrum of one pattern Gram A_s A_s' (ascending) plus its eta."""
-
-    eigenvalues: np.ndarray
-    eta: float
-
-
 def gram(a_s):
     """conj(G), G = A_s A_s', in the lower triangle (upper unset): the
     C-ordered A_s is the Fortran-ordered B = A_s^T, so herk/syrk forms
@@ -202,13 +187,19 @@ def gram(a_s):
     return routines(a_s.dtype)["gram"](1.0, a_s.T, 0.0, None, 2, 1)  # beta=0, trans=2, lower
 
 
-def gram_eigenvalues(frame, pattern) -> EigenSample:
-    """The eigen route for one pattern of a Frame or of its data array."""
+def gram_eigenvalues(frame, idx):
+    """The eigen route: the ascending eigenvalues of G = A_s A_s' for each
+    pattern of the (T, k) set `idx` over a Frame or its rows, as a (T, k)
+    array.  The set is read in `chunks`, one gather a block, dropped once the
+    block's Grams exist, as in `factor_rows`.  One pattern is `[pattern]`;
+    `eta_from_eigenvalues` gives its eta."""
     data = frame_rows(frame)
-    rows, = canonical_rows(data, [pattern])
-    w = eigh(gram(data[rows]), lower=True, eigvals_only=True, driver="evd",
-             overwrite_a=True, check_finite=False)
-    return EigenSample(eigenvalues=w, eta=eta_from_eigenvalues(w, data.shape[1]))
+    w = []
+    for rows in chunks(data, idx):
+        grams = [gram(a_s) for a_s in data[rows]]  # the gather is freed once they exist
+        w += [eigh(g, lower=True, eigvals_only=True, driver="evd", overwrite_a=True,
+                   check_finite=False) for g in grams]
+    return np.array(w)
 
 
 def chunks(data, idx):
@@ -216,8 +207,10 @@ def chunks(data, idx):
     (T_c, k) blocks: as many patterns as keep their k x m rows and k x k Grams
     within _CHUNK_BYTES, and at least one.  The whole set is checked once
     (`frames.check_patterns`), then each block is put in canonical order on
-    its own: the order is per pattern, so the rows are `canonical_rows`'s,
-    and the sort keys of a large set never exist all at once."""
+    its own (`_canonical_order`): the order is per pattern, so the blocks
+    hold the rows one order of the whole set would give, and the sort keys
+    of a large set never exist all at once.  The eta kernel and the eigen
+    route both read their sets through here."""
     data = np.ascontiguousarray(frame_rows(data))  # one copy at most, not one a chunk
     idx = check_patterns(len(data), idx)
     t, k = idx.shape
@@ -243,7 +236,7 @@ def factor_rows(data, rows):
     for r, g in zip(rows, grams):
         low = cholesky(g)
         if low is None:
-            if math.isinf(gram_eigenvalues(data, r).eta):
+            if math.isinf(eta_from_eigenvalues(gram_eigenvalues(data, [r])[0], m)):
                 yield r, None, math.inf
                 continue
             # tol=0: the eigenvalues have decided, so pstrf stops only where a
@@ -500,16 +493,17 @@ def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> Eig
 
     The default range is the one of the frame's `reference_law`.  Per-trial
     RNG streams are derived from (seed, trial), so the aggregate is
-    independent of evaluation order.
+    independent of evaluation order.  The whole set takes one
+    `gram_eigenvalues` call, so it is checked once and ordered a chunk at a
+    time.
     """
     from .patterns import pattern_set  # deferred: patterns imports spectral
 
     law = reference_law(frame, k)  # refuses k outside (0, m]
     idx, _ = pattern_set(frame.n, k, "sampled", trials, seed)
-    all_w = [gram_eigenvalues(frame, s).eigenvalues for s in idx]
     return EigenHistogram.from_eigenvalues(
-        np.concatenate(all_w), bins, law.value_range if value_range is None else value_range,
-        trials, seed)
+        gram_eigenvalues(frame, idx).ravel(), bins,
+        law.value_range if value_range is None else value_range, trials, seed)
 
 
 def l1_density_distance(hist, density_fn):

@@ -341,6 +341,24 @@ def test_out_of_memory_exits_config(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, argv, size", [
+    ("dss", ["--p", "10000019"], "728. TiB"),
+    ("paley", ["--n", "10000122"], "364. TiB"),  # q = 10000121, a prime = 1 mod 4
+])
+def test_huge_structured_frame_is_refused_before_its_residues(tmp_path, monkeypatch,
+                                                              capsys, family, argv, size):
+    # the n x m buffer is asked for right after the prime checks, so numpy's
+    # refusal comes before the O(p) residue set, its check and the spectrum
+    calls = []
+    monkeypatch.setattr(frames, "_quadratic_residues", lambda *args: calls.append(args))
+    out = tmp_path / "big.frame"
+    assert cli.main(["construct", family, *argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: Unable to allocate {size}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["0:inf:1", "nan:3:1", "0:3:nan", "-inf:3:1", "0:3:inf"])
 def test_parse_grid_refuses_non_finite(spec):
     # an unbounded grid (0:inf:1, -inf:3:1) would grow until memory runs out

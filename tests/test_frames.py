@@ -341,7 +341,7 @@ _C_ORDER_BUILDS = {
 
 @pytest.mark.parametrize("label", sorted(_C_ORDER_BUILDS))
 def test_frames_store_c_ordered_rows(label, tmp_path):
-    # a frame stored in Fortran order made every canonical_rows call copy it
+    # a frame stored in Fortran order made every canonical-order pass copy it
     f = _C_ORDER_BUILDS[label]()
     assert not f.data.flags.writeable and f.data.base is None
     path = tmp_path / "f.frame"

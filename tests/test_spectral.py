@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs
 
 import framelab
 from framelab import cli, coder, frames, optimize, patterns, rd, spectral
@@ -33,18 +33,25 @@ def random_unit_frame(n, m, seed, complex_field=False):
     return frames.Frame(_unit_rows(a))
 
 
+def _eigen_eta(frame, pattern):
+    """One pattern's eta off the eigen route."""
+    w, = spectral.gram_eigenvalues(frame, [pattern])
+    return spectral.eta_from_eigenvalues(w, np.shape(frames.frame_rows(frame))[1])
+
+
 def test_full_dft_rows_orthonormal():
     f = frames.build_bandlimited_dft(8, 8)
-    s = spectral.gram_eigenvalues(f, (1, 4, 6))
-    assert np.abs(s.eigenvalues - 1.0).max() < 1e-12
-    assert abs(s.eta - 3 / 8) < 1e-12
+    w = spectral.gram_eigenvalues(f, [(1, 4, 6)])
+    assert w.shape == (1, 3)
+    assert np.abs(w - 1.0).max() < 1e-12
+    assert abs(_eigen_eta(f, (1, 4, 6)) - 3 / 8) < 1e-12
 
 
 def test_single_row_pattern():
     f = frames.build_dss(11)
-    s = spectral.gram_eigenvalues(f, (3,))
-    assert abs(s.eigenvalues[0] - 1.0) < 1e-12
-    assert abs(s.eta - 1 / 5) < 1e-12
+    w = spectral.gram_eigenvalues(f, [(3,)])
+    assert w.shape == (1, 1) and abs(w[0, 0] - 1.0) < 1e-12
+    assert abs(_eigen_eta(f, (3,)) - 1 / 5) < 1e-12
 
 
 def test_dss7_pattern_matches_bruteforce():
@@ -63,7 +70,7 @@ def test_inverse_energy_agrees_with_eigen_route():
         for k in (2, 4, 6):
             s = tuple(np.random.default_rng((seed, k)).choice(12, k, replace=False))
             a = spectral.inverse_energy(f, s)
-            b = spectral.gram_eigenvalues(f, s).eta
+            b = _eigen_eta(f, s)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
@@ -79,8 +86,7 @@ def test_inverse_energy_explicit_inverse_oracle():
 def test_singular_pattern_reports_inf():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])
     assert spectral.inverse_energy(f, (0, 4)) == math.inf  # identical rows
-    s = spectral.gram_eigenvalues(f, (0, 4))
-    assert s.eta == math.inf
+    assert _eigen_eta(f, (0, 4)) == math.inf
     for s in [(1, 5), (0, 1, 4), (2, 3, 6, 7), (0, 2, 4, 6)]:  # rows t and t+4 coincide
         assert spectral.inverse_energy(f, s) == math.inf
     # sigma_min is about 7e-9: above a 1e-10 sigma ratio, but its square is
@@ -142,7 +148,8 @@ def _full_lexsort(frame, pattern):
 
 def _canonical(frame, patterns):
     """The submatrices of a pattern set in the kernel's canonical row order."""
-    return [frame.data[rows] for rows in spectral.canonical_rows(frame.data, patterns)]
+    return [frame.data[rows] for block in spectral.chunks(frame.data, patterns)
+            for rows in block]
 
 
 @pytest.mark.parametrize("label", sorted(_family_frames()))
@@ -171,18 +178,18 @@ def test_canonical_order_falls_back_on_leading_key_ties():
         assert np.array_equal(a_s, _full_lexsort(f, s))
 
 
-def test_canonical_rows_checks_the_whole_set():
+def test_chunks_check_the_whole_set():
     data = frames.build_bandlimited_dft(8, 4).data
-    rows = spectral.canonical_rows(data, [(3, 1), (7, 0)])
+    rows, = spectral.chunks(data, [(3, 1), (7, 0)])
     assert rows.shape == (2, 2) and sorted(rows[1].tolist()) == [0, 7]
     with pytest.raises(IndexError, match="out of range"):
-        spectral.canonical_rows(data, [(0, 1), (2, 8)])
+        spectral.chunks(data, [(0, 1), (2, 8)])
     with pytest.raises(IndexError, match="out of range"):
-        spectral.canonical_rows(data, [(0, 1), (-1, 2)])
+        spectral.chunks(data, [(0, 1), (-1, 2)])
     with pytest.raises(ValueError, match="repeated"):
-        spectral.canonical_rows(data, [(0, 1), (5, 5)])
+        spectral.chunks(data, [(0, 1), (5, 5)])
     with pytest.raises(ValueError, match="empty"):
-        spectral.canonical_rows(data, np.zeros((0, 2), dtype=int))
+        spectral.chunks(data, np.zeros((0, 2), dtype=int))
 
 
 def test_check_patterns_keeps_order_and_names_the_fault():
@@ -202,7 +209,7 @@ def test_check_patterns_keeps_order_and_names_the_fault():
 # every route into a pattern's rows, called on one pattern s of dss7
 _PATTERN_ROUTES = {
     "inverse_energy": spectral.inverse_energy,
-    "gram_eigenvalues": spectral.gram_eigenvalues,
+    "gram_eigenvalues": lambda f, s: spectral.gram_eigenvalues(f, [s]),
     "sampled_mlie": lambda f, s: optimize.sampled_mlie(f, [s]),
     "mlie_gradient": lambda f, s: optimize.mlie_gradient(f, [s]),
     "submatrix": lambda f, s: f.submatrix(s),
@@ -252,7 +259,7 @@ def test_inverse_energy_matches_eigen_route_per_family(label):
     for k in (1, f.m // 2, f.m - 1):
         s = tuple(sorted(rng.choice(f.n, k, replace=False).tolist()))
         a = spectral.inverse_energy(f, s)
-        b = spectral.gram_eigenvalues(f, s).eta
+        b = _eigen_eta(f, s)
         assert abs(a - b) <= 1e-12 * b
 
 
@@ -262,7 +269,7 @@ def test_inverse_energy_matches_eigen_route_dss947():
         s = tuple(sorted(np.random.default_rng((1, t)).choice(947, 378, replace=False)
                          .tolist()))
         a = spectral.inverse_energy(f, s)
-        b = spectral.gram_eigenvalues(f, s).eta
+        b = _eigen_eta(f, s)
         assert math.isfinite(a)
         assert abs(a - b) <= 1e-12 * b
 
@@ -437,7 +444,7 @@ def test_mlie_kernel_calls_blas_only_through_scipy():
 def _old_factored(data, pats):
     """(rows, A_s, L^{-1}, eta) per pattern with the old-style factor and a
     per-pattern BLAS dot lookup: the reference for `spectral.factored`."""
-    for rows in spectral.canonical_rows(data, pats):
+    for rows in (r for block in spectral.chunks(data, pats) for r in block):
         a_s = data[rows]
         inv_low = _old_inverse_factor(a_s)
         x = inv_low.ravel()
@@ -591,7 +598,7 @@ def test_routine_table_matches_scipy_getters(dtype):
 def _route_outputs(route, data, pats):
     """Every array and float a route returns for the pattern set, flattened."""
     if route == "gram_eigenvalues":
-        return [x for s in pats for x in vars(spectral.gram_eigenvalues(data, s)).values()]
+        return [spectral.gram_eigenvalues(data, pats)]
     if route == "factored":
         return [x for out in spectral.factored(data, pats) for x in out]
     out = getattr(optimize, route)(data, pats)
@@ -658,9 +665,9 @@ def _count_eigen_fallbacks(monkeypatch):
     calls = []
     route = spectral.gram_eigenvalues
 
-    def counted(frame, pattern):
-        calls.append(pattern)
-        return route(frame, pattern)
+    def counted(frame, idx):
+        calls.append(idx)
+        return route(frame, idx)
 
     monkeypatch.setattr(spectral, "gram_eigenvalues", counted)
     return calls
@@ -709,7 +716,7 @@ def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     calls = _count_eigen_fallbacks(monkeypatch)
     f = _two_rows_at_angle(theta)
     eta = spectral.inverse_energy(f, (0, 1))
-    assert len(calls) == 1
+    assert [np.shape(idx) for idx in calls] == [(1, 2)]  # the screened pattern alone
     assert not math.isnan(eta)
     assert math.isfinite(eta) == finite
     (_, y, y_eta), = spectral.factored(f.data, [(0, 1)])
@@ -739,7 +746,7 @@ def test_screened_finite_pattern_takes_the_pivoted_factor(monkeypatch, frame):
     # and 4e-12): finite, with no Cholesky factor, so pstrf gives Y
     a_s = frame.data[:2]
     assert spectral.cholesky(spectral.gram(a_s)) is None
-    assert math.isfinite(spectral.gram_eigenvalues(frame, (0, 1)).eta)
+    assert math.isfinite(_eigen_eta(frame, (0, 1)))
     eta = spectral.inverse_energy(frame, (0, 1))
     calls = []
     table = spectral.routines(a_s.dtype)
@@ -939,13 +946,14 @@ def test_trace_identity_and_harmonic_bound(seed):
     k = int(rng.integers(1, m + 1))
     f = random_unit_frame(n, m, seed + 1)
     s = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
-    es = spectral.gram_eigenvalues(f, s)
-    assert abs(float(np.mean(es.eigenvalues)) - 1.0) <= 1e-9
-    if math.isfinite(es.eta):
+    w, = spectral.gram_eigenvalues(f, [s])
+    eta = spectral.eta_from_eigenvalues(w, m)
+    assert abs(float(np.mean(w)) - 1.0) <= 1e-9
+    if math.isfinite(eta):
         beta = m / k
-        assert es.eta * beta >= 1.0 - 1e-9
-        if es.eta * beta - 1.0 < 1e-9:
-            assert es.eigenvalues[-1] - es.eigenvalues[0] < 1e-4
+        assert eta * beta >= 1.0 - 1e-9
+        if eta * beta - 1.0 < 1e-9:
+            assert w[-1] - w[0] < 1e-4
 
 
 def test_mp_eta_limits():
@@ -1123,6 +1131,60 @@ def test_eigen_histogram_default_range_is_the_law_range():
     assert (h.bin_edges[0], h.bin_edges[-1]) == spectral.reference_law(f, 10).value_range
     # the old default [0, n/m] = [0, 2] cut the sample short
     assert f.n / f.m < h.max_eigenvalue < h.bin_edges[-1]
+
+
+def _per_pattern_eigenvalues(frame, pats):
+    """The eigen route one pattern at a time: the pattern's rows in canonical
+    order, `gram`, then evd.  The reference for `spectral.gram_eigenvalues`."""
+    return np.array([eigh(spectral.gram(_full_lexsort(frame, s)), lower=True,
+                          eigvals_only=True, driver="evd", overwrite_a=True,
+                          check_finite=False) for s in pats])
+
+
+def _exhaustive(frame, k):
+    return frame, patterns.pattern_set(frame.n, k, "exhaustive")[0]
+
+
+def _sampled(frame, k, trials=60):
+    return frame, patterns.pattern_set(frame.n, k, "sampled", trials, 4)[0]
+
+
+_EIGEN_SETS = {
+    "bl13_k5_exhaustive": lambda: _exhaustive(frames.build_bandlimited_dft(13, 7), 5),
+    "dss47_k20": lambda: _sampled(frames.build_dss(47), 20),
+    "iid60_complex_k20": lambda: _sampled(frames.build_random_iid(60, 30, "complex", 2), 20),
+    "paley38_k10": lambda: _sampled(frames.build_paley_etf(38), 10),
+    "paley38_k19": lambda: _sampled(frames.build_paley_etf(38), 19),
+    "real_5e-6": lambda: _exhaustive(_two_rows_at_angle(5e-6), 2),
+    "real_1e-7": lambda: _exhaustive(_two_rows_at_angle(1e-7), 2),
+    "complex_4e-6": lambda: _exhaustive(_complex_rows_at_angle(4e-6, math.pi / 5), 2),
+    "tilted_real": lambda: (lambda f, s: (f, [s]))(*_tilted_case(3, 6, 2e-6, False)),
+    "tilted_complex": lambda: (lambda f, s: (f, [s]))(*_tilted_case(5, 8, 3e-6, True)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_EIGEN_SETS))
+def test_eigen_route_set_form_equals_per_pattern_reference(label):
+    frame, pats = _EIGEN_SETS[label]()
+    got = spectral.gram_eigenvalues(frame, pats)
+    want = _per_pattern_eigenvalues(frame, pats)
+    assert got.shape == want.shape == np.shape(pats)
+    assert np.array_equal(got, want)
+    if label == "bl13_k5_exhaustive":
+        assert len(pats) == 1287 and len(spectral.chunks(frame, pats)) > 1
+
+
+def test_eigen_histogram_checks_its_set_once(monkeypatch):
+    f = frames.build_bandlimited_dft(13, 7)
+    calls = []
+    check = spectral.check_patterns
+    monkeypatch.setattr(spectral, "check_patterns",
+                        lambda n, idx: calls.append(np.shape(idx)) or check(n, idx))
+    h = spectral.eigen_histogram(f, 5, trials=1500, bins=20, seed=0)
+    assert calls == [(1500, 5)]
+    pats, _ = patterns.pattern_set(13, 5, "sampled", 1500, 0)
+    assert len(spectral.chunks(f, pats)) > 1
+    assert np.array_equal(h.eigenvalues, _per_pattern_eigenvalues(f, pats).ravel())
 
 
 def test_eigen_histogram_full_dft_point_mass():
