@@ -25,8 +25,8 @@ factor or Sherman--Morrison denominator is in doubt.  So such a Frame's eta
 and its bare rows' may differ in the last bits; every other Frame, and
 every caller that passes rows, takes `factored`.  There is one
 singularity policy: `cholesky` gives no factor when potrf fails or its
-squared pivot ratio is under sqrt(eps), and then `gram_eigenvalues` decides
-singular (eta = inf) or finite.  Every finite pattern has one kind of
+squared pivot ratio is under sqrt(eps), and then the Gram's eigenvalues
+decide singular (eta = inf) or finite.  Every finite pattern has one kind of
 inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}, and one eta,
 ||Y||_F^2 / m: Y = L^{-1}, where a pattern without a `cholesky` factor takes
 L from pstrf, the pivoted Cholesky, and its rows come in pivot order, so
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import eigh, get_blas_funcs, get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .frames import Frame, check_patterns, frame_rows, legendre_symbol
 
@@ -149,20 +149,23 @@ def eta_from_eigenvalues(eigenvalues, m):
 def routines(dtype):
     """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
     by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf, pstrf (the
-    pivoted Cholesky of a screened finite pattern) and trtri.  The kernel
+    pivoted Cholesky of a screened finite pattern), trtri, evd (heevd/syevd,
+    the Gram eigenvalues) and evd_lwork (its work-size query).  The kernel
     passes their flags by position: f2py parses keywords at about 1 us a
     call, as long as a whole k = 5 potrf takes."""
     probe = np.empty(0, dtype)
-    field = ("herk", "dotc") if np.iscomplexobj(probe) else ("syrk", "dot")
-    blas = get_blas_funcs((*field, "trmm"), (probe,))
-    lapack = get_lapack_funcs(("potrf", "pstrf", "trtri"), (probe,))
-    return dict(zip(("gram", "dot", "trmm", "potrf", "pstrf", "trtri"), (*blas, *lapack)))
+    herk, dot, evd = (("herk", "dotc", "heevd") if np.iscomplexobj(probe)
+                      else ("syrk", "dot", "syevd"))
+    blas = get_blas_funcs((herk, dot, "trmm"), (probe,))
+    lapack = get_lapack_funcs(("potrf", "pstrf", "trtri", evd, evd + "_lwork"), (probe,))
+    return dict(zip(("gram", "dot", "trmm", "potrf", "pstrf", "trtri", "evd", "evd_lwork"),
+                    (*blas, *lapack)))
 
 
 def cholesky(g):
     """Lower Cholesky factor of the Hermitian matrix g, or None when potrf
     finds g not positive definite or the squared pivot ratio is under
-    sqrt(eps): then only `gram_eigenvalues` can decide singular vs finite.
+    sqrt(eps): then only the Gram's eigenvalues can decide singular vs finite.
     potrf (clean=0) factors a Fortran-ordered g (so any 1 x 1 g) in place and
     leaves its strict upper triangle, which `gram` zeroes and no solve reads."""
     low, info = routines(g.dtype)["potrf"](g, 1, 0, 1)  # lower, clean=0, overwrite_a
@@ -187,6 +190,22 @@ def gram(a_s):
     return routines(a_s.dtype)["gram"](1.0, a_s.T, 0.0, None, 2, 1)  # beta=0, trans=2, lower
 
 
+def _eigenvalues(g):
+    """The ascending eigenvalues of the Hermitian g from its lower triangle,
+    overwriting g: the table's evd with the work sizes its lwork query gives,
+    passed as scipy's `eigh(driver="evd")` passes them, so the bits are
+    eigh's (evd's default sizes change them at k = 378).  A nonzero info
+    raises LinAlgError."""
+    fn = routines(g.dtype)
+    *sizes, info = fn["evd_lwork"](len(g), 0, 1)  # compute_v=0, lower
+    if not info:
+        # compute_v=0, lower, (lwork, liwork[, lrwork]), overwrite_a
+        w, _, info = fn["evd"](g, 0, 1, *(int(x.real) for x in sizes), 1)
+    if info:
+        raise np.linalg.LinAlgError(f"evd failed with info={info}")
+    return w
+
+
 def gram_eigenvalues(frame, idx):
     """The eigen route: the ascending eigenvalues of G = A_s A_s' for each
     pattern of the (T, k) set `idx` over a Frame or its rows, as a (T, k)
@@ -197,8 +216,7 @@ def gram_eigenvalues(frame, idx):
     w = []
     for rows in chunks(data, idx):
         grams = [gram(a_s) for a_s in data[rows]]  # the gather is freed once they exist
-        w += [eigh(g, lower=True, eigvals_only=True, driver="evd", overwrite_a=True,
-                   check_finite=False) for g in grams]
+        w += [_eigenvalues(g) for g in grams]
     return np.array(w)
 
 
@@ -223,20 +241,21 @@ def factor_rows(data, rows):
     over frame rows as `frames.frame_rows` gives them.  One gather forms every
     A_s of the block; it is dropped once their Grams are formed, and each
     Gram is then factored in place.  A Gram without a `cholesky` factor is
-    screened: `gram_eigenvalues` decides singular (Y None, eta inf) or finite,
-    and a finite one takes pstrf, the pivoted Cholesky P^T conj(G) P = L L^H
-    of a fresh Gram.  Its pattern's rows are then yielded in pivot order, the
-    order of Y = L^{-1}, and written back into `rows`: after the loop each
-    row of the block holds its pattern's rows in Y's order (canonical where
-    the pattern has a `cholesky` factor), so a caller that gathers A_s from
-    the block (the gradient) gathers it in Y's order."""
+    screened: the eigenvalues of a fresh Gram of its rows decide singular
+    (Y None, eta inf) or finite, and a finite one takes pstrf, the pivoted
+    Cholesky P^T conj(G) P = L L^H of another fresh Gram.  Its pattern's rows
+    are then yielded in pivot order, the order of Y = L^{-1}, and written
+    back into `rows`: after the loop each row of the block holds its
+    pattern's rows in Y's order (canonical where the pattern has a
+    `cholesky` factor), so a caller that gathers A_s from the block (the
+    gradient) gathers it in Y's order."""
     m = data.shape[1]
     fn = routines(data.dtype)
     grams = [gram(a_s) for a_s in data[rows]]  # the gather is freed once they exist
     for r, g in zip(rows, grams):
         low = cholesky(g)
         if low is None:
-            if math.isinf(eta_from_eigenvalues(gram_eigenvalues(data, [r])[0], m)):
+            if math.isinf(eta_from_eigenvalues(_eigenvalues(gram(data[r])), m)):
                 yield r, None, math.inf
                 continue
             # tol=0: the eigenvalues have decided, so pstrf stops only where a
@@ -260,10 +279,10 @@ def factored(data, idx):
     `cholesky` factor L of conj(G), the rows are in canonical order and
     Y = L^{-1}; L^{-1} has an exactly zero strict upper triangle: `gram`
     leaves it zero, and potrf, pstrf and trtri write only the lower one.
-    Without one the eigenvalue route (`gram_eigenvalues`) owns the
-    singular/finite decision; a finite pattern's rows then come in the pivot
-    order of pstrf, P^T conj(G) P = L L^H, and Y = L^{-1} again.  Y is None
-    exactly when eta is inf.
+    Without one the Gram's eigenvalues own the singular/finite decision; a
+    finite pattern's rows then come in the pivot order of pstrf,
+    P^T conj(G) P = L L^H, and Y = L^{-1} again.  Y is None exactly when eta
+    is inf.
 
     The set runs in `chunks`, each through `factor_rows`.  No A_s is kept:
     a chunk's rows are freed once its Grams are formed, so trtri and the copy

@@ -438,6 +438,18 @@ def test_any_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "numerical failure: no convergence\n"
 
 
+def test_eigen_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a nonzero evd info raises LinAlgError, as eigh's non-convergence did
+    monkeypatch.setitem(spectral.routines(np.dtype(float)), "evd",
+                        lambda g, *flags: (g.diagonal().real, None, 1))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["eig-hist", "--frame", "iid", "--n", "12", "--m", "6", "--k", "4",
+                   "--trials", "3", "--out", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: evd failed with info=1\n"
+    assert not out.exists()
+
+
 def test_optimize_descends_and_saves_frame(tmp_path):
     out = tmp_path / "opt.csv"
     saved = tmp_path / "final.frame"

@@ -1,3 +1,4 @@
+import ast
 import functools
 import inspect
 import math
@@ -588,6 +589,8 @@ def test_routine_table_matches_scipy_getters(dtype):
         "potrf": get_lapack_funcs(("potrf",), (probe,))[0],
         "pstrf": get_lapack_funcs(("pstrf",), (probe,))[0],
         "trtri": get_lapack_funcs(("trtri",), (probe,))[0],
+        "evd": get_lapack_funcs(("heevd" if herm else "syevd",), (probe,))[0],
+        "evd_lwork": get_lapack_funcs(("heevd_lwork" if herm else "syevd_lwork",), (probe,))[0],
     }
     table = spectral.routines(probe.dtype)
     assert sorted(table) == sorted(expected)
@@ -662,14 +665,15 @@ def test_no_module_tunes_the_allocator():
 
 
 def _count_eigen_fallbacks(monkeypatch):
+    """The shape of each Gram `spectral._eigenvalues` is called on."""
     calls = []
-    route = spectral.gram_eigenvalues
+    route = spectral._eigenvalues
 
-    def counted(frame, idx):
-        calls.append(idx)
-        return route(frame, idx)
+    def counted(g):
+        calls.append(np.shape(g))
+        return route(g)
 
-    monkeypatch.setattr(spectral, "gram_eigenvalues", counted)
+    monkeypatch.setattr(spectral, "_eigenvalues", counted)
     return calls
 
 
@@ -695,7 +699,41 @@ def test_inverse_energy_failed_cholesky_exit(monkeypatch):
     calls = _count_eigen_fallbacks(monkeypatch)
     f = _two_rows_at_angle(0.0)
     assert spectral.inverse_energy(f, (0, 1)) == math.inf
-    assert len(calls) == 1
+    assert calls == [(2, 2)]
+
+
+def test_screened_pattern_is_checked_once(monkeypatch):
+    # the screened branch reads the Gram of the rows its block already
+    # holds; it does not pass them through the set API a second time
+    eigen_calls = _count_eigen_fallbacks(monkeypatch)
+    check_calls = []
+    check = spectral.check_patterns
+    monkeypatch.setattr(spectral, "check_patterns",
+                        lambda n, idx: check_calls.append(np.shape(idx)) or check(n, idx))
+    assert math.isfinite(spectral.inverse_energy(_two_rows_at_angle(5e-6), (0, 1)))
+    assert eigen_calls == [(2, 2)] and check_calls == [(1, 2)]
+
+
+def test_spectral_enters_scipy_only_through_the_routine_getters():
+    # every LAPACK call comes from `routines`: no scipy wrapper such as eigh
+    source = inspect.getsource(spectral)
+    names = {(node.module, alias.name) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ImportFrom) and "scipy" in (node.module or "")
+             for alias in node.names}
+    assert names == {("scipy.linalg", "get_blas_funcs"), ("scipy.linalg", "get_lapack_funcs")}
+    assert "import scipy" not in source
+
+
+@pytest.mark.parametrize("role, failed", [
+    ("evd", lambda g, *flags: (g.diagonal().real, None, 1)),
+    ("evd_lwork", lambda n, *flags: (1.0, 1, 1)),
+])
+def test_eigen_route_failure_raises_linalg_error(monkeypatch, role, failed):
+    # a nonzero info from the driver or its work-size query is a LinAlgError,
+    # as it was from scipy's eigh, so the CLI maps it to exit 3
+    monkeypatch.setitem(spectral.routines(np.dtype(float)), role, failed)
+    with pytest.raises(np.linalg.LinAlgError, match="evd failed with info=1"):
+        spectral.gram_eigenvalues(frames.build_random_iid(12, 6), [(0, 1, 2)])
 
 
 def _exact_two_row_eta(a_s):
@@ -716,7 +754,7 @@ def test_inverse_energy_pivot_threshold_exit(monkeypatch, theta, finite):
     calls = _count_eigen_fallbacks(monkeypatch)
     f = _two_rows_at_angle(theta)
     eta = spectral.inverse_energy(f, (0, 1))
-    assert [np.shape(idx) for idx in calls] == [(1, 2)]  # the screened pattern alone
+    assert calls == [(2, 2)]  # one Gram, of the screened pattern alone
     assert not math.isnan(eta)
     assert math.isfinite(eta) == finite
     (_, y, y_eta), = spectral.factored(f.data, [(0, 1)])
@@ -781,9 +819,9 @@ def test_pivoted_factor_cut_short_raises(monkeypatch):
 
 def test_factor_rows_takes_no_eigensolver():
     # a screened finite pattern is factored by pstrf from the routine table;
-    # eigenvalues only decide singular or finite, through gram_eigenvalues
+    # eigenvalues only decide singular or finite, through `_eigenvalues`
     source = inspect.getsource(spectral.factor_rows)
-    for token in ("eigh(", "qr(", "eigen_factor"):
+    for token in ("eigh(", "qr(", "eigen_factor", "gram_eigenvalues(", "chunks("):
         assert token not in source, token
     assert not hasattr(spectral, "eigen_factor")
     assert 'fn["pstrf"]' in source
@@ -1160,6 +1198,9 @@ _EIGEN_SETS = {
     "complex_4e-6": lambda: _exhaustive(_complex_rows_at_angle(4e-6, math.pi / 5), 2),
     "tilted_real": lambda: (lambda f, s: (f, [s]))(*_tilted_case(3, 6, 2e-6, False)),
     "tilted_complex": lambda: (lambda f, s: (f, [s]))(*_tilted_case(5, 8, 3e-6, True)),
+    # evd's default work sizes change the bits here: the lwork query is needed
+    "iid947_k378": lambda: _sampled(frames.build_random_iid(947, 473), 378, trials=2),
+    "dss947_k378": lambda: _sampled(frames.build_dss(947), 378, trials=1),
 }
 
 
