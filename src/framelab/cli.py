@@ -164,7 +164,8 @@ def cmd_ie_hist(args):
         law = spectral.reference_law(frame, k)
         if law.name == "manova":
             config["manova_limit"] = repr(law.eta_limit)
-    config.update(k=k, mode=stats.mode, trials=stats.trials, seed=args.seed,
+    config.update(k=k, mode="monte_carlo" if stats.mode == "sampled" else stats.mode,
+                  trials=stats.trials, seed=args.seed,
                   mean=repr(stats.mean), median=repr(stats.median),
                   mlie_bits=repr(stats.mlie),
                   fraction_singular=repr(stats.fraction_singular))
@@ -359,6 +360,14 @@ def seed(text):
     return count(text, low=0)
 
 
+class PatternMode(argparse.Action):
+    """Stores a pattern-set mode; the CLI's 'monte_carlo' (--mode) and 'mc'
+    (--pattern-mode) are the library's 'sampled'."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, "sampled" if value in ("monte_carlo", "mc") else value)
+
+
 @functools.cache  # parse_args leaves the parser as it was, so main reuses one
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -381,7 +390,8 @@ def build_parser():
 
     s = sub.add_parser("ie-hist", help="inverse-energy log-histogram over patterns")
     common(s)
-    s.add_argument("--mode", choices=["auto", "exhaustive", "monte_carlo"], default="auto")
+    s.add_argument("--mode", choices=["auto", "exhaustive", "monte_carlo"], default="auto",
+                   action=PatternMode)
     s.set_defaults(func=cmd_ie_hist)
 
     s = sub.add_parser("eig-hist", help="Gram eigenvalue histogram with reference density")
@@ -397,7 +407,8 @@ def build_parser():
 
     s = sub.add_parser("mlie", help="mean logarithmic inverse energy of a frame")
     common(s)
-    s.add_argument("--mode", choices=["auto", "exhaustive", "monte_carlo"], default="auto")
+    s.add_argument("--mode", choices=["auto", "exhaustive", "monte_carlo"], default="auto",
+                   action=PatternMode)
     s.set_defaults(func=cmd_ie_hist)
 
     s = sub.add_parser("coder", help="Monte Carlo run of the analog coding chain")
@@ -414,7 +425,8 @@ def build_parser():
     s.add_argument("--step", type=float, default=1e-2)
     s.add_argument("--verify", action="store_true", help="probe local minimality instead")
     s.add_argument("--epsilons", default="1e-3,1e-2")
-    s.add_argument("--pattern-mode", choices=["exhaustive", "mc"], default="exhaustive")
+    s.add_argument("--pattern-mode", choices=["exhaustive", "mc"], default="exhaustive",
+                   action=PatternMode)
     s.add_argument("--save-frame", help="write the final frame here")
     s.set_defaults(func=cmd_optimize)
 

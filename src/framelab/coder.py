@@ -31,7 +31,7 @@ from .patterns import sample_pattern
 from .rd import wiener_alpha, wiener_distortion
 from .spectral import SingularPatternError
 
-__all__ = ["SingularPatternError", "encoder_matrix", "PatternTally", "CoderReport", "simulate"]
+__all__ = ["encoder_matrix", "PatternTally", "CoderReport", "simulate"]
 
 
 def encoder_matrix(frame, pattern):

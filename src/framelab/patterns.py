@@ -3,7 +3,7 @@
 A pattern is the set of k row indices declared important, as integers that
 `frames.check_patterns` accepts; a pattern set is the (T, k) int array from
 `pattern_set`.  Statistics over patterns — exhaustive when C(n, k) is
-small, Monte Carlo otherwise — drive the inverse-energy histograms and the
+small, sampled otherwise — drive the inverse-energy histograms and the
 mean logarithmic inverse energy
 
     rho = average over patterns of (m/n)(1/2) log2(eta_s)   [bits/sample],
@@ -53,22 +53,16 @@ def sample_pattern(n, k, seed=0):
     return tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
 
 
-# 'monte_carlo' (ie-hist, mlie) and 'mc' (optimize --verify) spell 'sampled'
-_MODES = {"auto": "auto", "exhaustive": "exhaustive", "sampled": "sampled",
-          "monte_carlo": "sampled", "mc": "sampled"}
-
-
 def pattern_set(n, k, mode="auto", trials=2000, seed=0):
     """(T, k) int array of k-patterns of [0, n), one increasing row each, and
     its mode: 'exhaustive' (all C(n, k) in lexicographic order, guard applies)
     or 'sampled' (`trials` rows, row t = sample_pattern(n, k, seed=(seed, t))).
     'auto' enumerates when C(n, k) <= ENUMERATION_GUARD."""
-    if mode not in _MODES:
+    if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     count = math.comb(n, k)
-    mode = _MODES[mode]
     if mode == "auto":
         mode = "exhaustive" if count <= ENUMERATION_GUARD else "sampled"
     if mode == "sampled":
@@ -130,8 +124,8 @@ def mlie_bits(etas, n, m):
 def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStats:
     """eta_s statistics for k-patterns of the frame.
 
-    The patterns are `pattern_set(n, k, mode, trials, seed)`; a sampled set
-    is reported as mode 'monte_carlo'.
+    The patterns are `pattern_set(n, k, mode, trials, seed)`, and `mode` is
+    the one it resolved to: 'exhaustive' or 'sampled'.
     """
     n, m = frame.n, frame.m
     if k > m:
@@ -155,7 +149,7 @@ def ie_statistics(frame, k, mode="auto", trials=2000, seed=0, bins=60) -> IEStat
         mlie=mlie,
         log_bin_edges=edges,
         log_counts=counts,
-        mode="monte_carlo" if mode == "sampled" else mode,
+        mode=mode,
         trials=len(idx),
         seed=None if mode == "exhaustive" else seed,
         n=n,

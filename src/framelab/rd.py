@@ -12,7 +12,6 @@ the inverse energy eta of the transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "rdf",
@@ -26,7 +25,6 @@ __all__ = [
     "random_transform_excess",
     "optimize_beta",
     "high_sdr_asymptote",
-    "RDPoint",
     "gamma_from_db",
     "db_from_gamma",
 ]
@@ -196,7 +194,8 @@ def _fminbound(func, a, b):
 
 
 def optimize_beta(p, gamma):
-    """Minimize random_transform_excess over beta in (1, 1/p].
+    """Minimize random_transform_excess over beta in (1, 1/p], for 0 < p < 1
+    and finite gamma >= 1 (ValueError otherwise).
 
     With x = beta - 1 and c = gamma - 1 the excess is (p/2)/ln 2 (f(x) - ln gamma)
     for f(x) = (x + 1) ln(1 + c/x), and f''(x) = c (c + (2 - c) x) / (x (x + c))^2:
@@ -209,8 +208,8 @@ def optimize_beta(p, gamma):
     rate-loss bytes would hang on the installed scipy's optimizer.  Returns
     (beta_star, delta_star).
     """
-    if p >= 1.0:
-        raise ValueError("p = 1 leaves no admissible beta")
+    if not (0.0 < p < 1.0 and 1.0 <= gamma < math.inf):  # nan fails too
+        raise ValueError(f"need 0 < p < 1 and finite gamma >= 1, got p={p}, gamma={gamma}")
     hi = 1.0 / p
     lo = 1.0 + 1e-9
     grid = [lo + (hi - lo) * i / 9999 for i in range(10000)]
@@ -232,31 +231,3 @@ def high_sdr_asymptote(p, gamma):
     if gamma < math.e:
         raise ValueError("gamma >= e required (log log must be nonnegative)")
     return 0.5 * p * math.log2(math.log(gamma))
-
-
-@dataclass(frozen=True)
-class RDPoint:
-    """One operating point tying the rate formulas together."""
-
-    p: float
-    beta: float
-    gamma_db: float
-    eta: float
-    rate_bits: float
-    rdf_bits: float
-    delta_bits: float
-    si_bits: float
-
-    @classmethod
-    def at(cls, p, beta, gamma, eta):
-        n, m = 1.0, beta * p  # only the ratio m/n = beta p enters the rate
-        return cls(
-            p=p,
-            beta=beta,
-            gamma_db=db_from_gamma(gamma),
-            eta=eta,
-            rate_bits=scheme_rate(n, m, eta, gamma),
-            rdf_bits=rdf(p, gamma),
-            delta_bits=excess_rate(p, beta, gamma, eta),
-            si_bits=si_benchmark(p),
-        )

@@ -552,6 +552,20 @@ def test_missing_output_directory_exits_config(tmp_path, capsys, argv):
     assert "No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, dest, mode", [
+    (["ie-hist", "--mode", "monte_carlo"], "mode", "sampled"),
+    (["mlie", "--mode", "monte_carlo"], "mode", "sampled"),
+    (["mlie", "--mode", "exhaustive"], "mode", "exhaustive"),
+    (["ie-hist"], "mode", "auto"),
+    (["optimize", "--pattern-mode", "mc"], "pattern_mode", "sampled"),
+    (["optimize"], "pattern_mode", "exhaustive"),
+], ids=["ie-hist-monte_carlo", "mlie-monte_carlo", "mlie-exhaustive", "ie-hist-default",
+        "optimize-mc", "optimize-default"])
+def test_cli_spellings_map_to_the_library_modes(argv, dest, mode):
+    # the header still writes mode=monte_carlo (see the sampled goldens)
+    assert getattr(cli.build_parser().parse_args(argv + ["--out", "x.csv"]), dest) == mode
+
+
 def test_mlie_all_singular_is_numerical_failure(tmp_path):
     # seed 9 draws the one pattern (2, 6), whose rows coincide in the aliased
     # spectrum; ie-hist still reports it, mlie has no finite eta to average

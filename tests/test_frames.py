@@ -228,6 +228,24 @@ def test_frame_rejects_non_unit_rows():
         frames.Frame(a)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: frames.Frame(np.ones(4)), "frame data must be a 2-d matrix"),
+    (lambda: frames.Frame(np.eye(3)[:2]), "need n >= m >= 1, got n=2, m=3"),
+    (lambda: frames.Frame(np.eye(3), spectrum=(0, 0, 1)),
+     "spectrum must be m distinct indices in [0, n)"),
+    (lambda: frames.Frame(np.eye(3), spectrum=(0, 1, 3)),
+     "spectrum must be m distinct indices in [0, n)"),
+    (lambda: frames.build_random_iid(3, 4), "m=4 exceeds n=3"),
+    (lambda: frames.build_random_iid(4, 2, field="quaternion"), "unknown field 'quaternion'"),
+    (lambda: frames.DifferenceSet(n=7, m=3, lam=2, elements=(1, 2, 4)),
+     "lam*(n-1) != m*(m-1)"),
+], ids=["1-d", "n-below-m", "spectrum-repeat", "spectrum-out-of-range", "iid-m-above-n",
+        "iid-field", "difference-set-identity"])
+def test_frame_constructors_refuse_malformed_input(make, message):
+    with pytest.raises(frames.FrameError, match=re.escape(message)):
+        make()
+
+
 @pytest.mark.parametrize("kind", ["custom", "random_iid", "dss"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_frame_rejects_non_finite_data(kind, bad):

@@ -362,7 +362,7 @@ def test_verify_local_min_iid_contrast():
 
 def test_verify_local_min_mc_mode():
     v = optimize.verify_local_min(frames.build_dss(11), 3, epsilons=(1e-3,),
-                                  trials=20, seed=0, mode="mc", pattern_budget=50)
+                                  trials=20, seed=0, mode="sampled", pattern_budget=50)
     assert v.pattern_mode == "sampled" and v.pattern_count == 50
     with pytest.raises(ValueError):
         optimize.verify_local_min(frames.build_dss(7), 2, mode="bogus")

@@ -1,6 +1,6 @@
 """The public surface: every name a library module lists in `__all__` exists,
-so a deleted function cannot linger there; and what importing the package
-loads."""
+so a deleted function cannot linger there; each public object and each
+pattern-set mode has one name; and what importing the package loads."""
 
 import importlib
 import os
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from framelab import frames, optimize, patterns
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -24,6 +26,43 @@ def test_every_all_name_resolves(name):
     namespace = {}
     exec(f"from framelab.{name} import *", namespace)
     assert set(mod.__all__) <= namespace.keys()
+
+
+def test_one_name_per_public_object():
+    # a class or function is listed only by the module that defines it
+    owners = {}
+    for name in LIBRARY_MODULES:
+        mod = importlib.import_module(f"framelab.{name}")
+        for attr in mod.__all__:
+            obj = getattr(mod, attr)
+            if callable(obj):
+                assert obj.__module__ == mod.__name__, (name, attr)
+            owners.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in owners.items() if len(mods) > 1} == {}
+
+
+def test_the_package_namespace_holds_only_its_version():
+    # a fresh interpreter, since this session has imported every submodule;
+    # importing the package alone loads none of them
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, framelab; print([n for n in dir(framelab) if n[0] != '_'], "
+            "[m for m in sys.modules if m.startswith('framelab.')], framelab.__version__)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    public, submodules, version = out.split()
+    assert (public, submodules) == ("[]", "[]") and version
+
+
+@pytest.mark.parametrize("mode", ["monte_carlo", "mc"])
+def test_the_library_names_the_sampled_mode_once(mode):
+    # only the CLI spells 'sampled' otherwise
+    dss7 = frames.build_dss(7)
+    calls = [lambda: patterns.pattern_set(7, 2, mode),
+             lambda: patterns.ie_statistics(dss7, 2, mode=mode),
+             lambda: optimize.verify_local_min(dss7, 2, trials=1, mode=mode)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            call()
 
 
 _IMPORT_FOOTPRINT = """

@@ -21,6 +21,12 @@ def test_sample_pattern_deterministic():
     assert patterns.sample_pattern(20, 5, seed=(7, 0)) != patterns.sample_pattern(20, 5, seed=(7, 1))
 
 
+@pytest.mark.parametrize("k", [0, 8])
+def test_pattern_set_refuses_k_outside_n(k):
+    with pytest.raises(ValueError, match=f"need 0 < k <= n, got k={k}, n=7"):
+        patterns.pattern_set(7, k)
+
+
 def test_sample_pattern_validation():
     with pytest.raises(ValueError):
         patterns.sample_pattern(10, 0)
@@ -80,7 +86,7 @@ def test_ie_statistics_full_dft_is_orthonormal_everywhere():
 def test_ie_statistics_exhaustive_matches_monte_carlo():
     f = frames.build_dss(11)
     ex = patterns.ie_statistics(f, 3, mode="exhaustive")
-    mc = patterns.ie_statistics(f, 3, mode="monte_carlo", trials=2000, seed=1)
+    mc = patterns.ie_statistics(f, 3, mode="sampled", trials=2000, seed=1)
     se = np.std(mc.samples, ddof=1) / math.sqrt(mc.trials)
     assert abs(ex.mean - mc.mean) < 3.0 * se
     assert abs(ex.mlie - mc.mlie) < 0.02
@@ -89,17 +95,17 @@ def test_ie_statistics_exhaustive_matches_monte_carlo():
 
 def test_ie_statistics_deterministic_and_order_free():
     f = frames.build_dss(11)
-    a = patterns.ie_statistics(f, 4, mode="monte_carlo", trials=300, seed=5)
-    b = patterns.ie_statistics(f, 4, mode="monte_carlo", trials=300, seed=5)
+    a = patterns.ie_statistics(f, 4, mode="sampled", trials=300, seed=5)
+    b = patterns.ie_statistics(f, 4, mode="sampled", trials=300, seed=5)
     assert np.array_equal(a.samples, b.samples)
     assert a.mean == b.mean and a.mlie == b.mlie
-    c = patterns.ie_statistics(f, 4, mode="monte_carlo", trials=300, seed=6)
+    c = patterns.ie_statistics(f, 4, mode="sampled", trials=300, seed=6)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_ie_statistics_respects_eta_floor():
     f = frames.build_dss(19)
-    st = patterns.ie_statistics(f, 5, mode="monte_carlo", trials=200, seed=0)
+    st = patterns.ie_statistics(f, 5, mode="sampled", trials=200, seed=0)
     finite = st.samples[np.isfinite(st.samples)]
     assert (finite >= st.k / st.m - 1e-9).all()
     # dss7 is full spark: every one of its 35 3-patterns is finite
@@ -125,7 +131,7 @@ def test_ie_statistics_auto_mode_switch():
     assert patterns.ie_statistics(small, 3, mode="auto").mode == "exhaustive"
     big = frames.build_random_iid(500, 320, seed=0)
     st = patterns.ie_statistics(big, 3, mode="auto", trials=50, seed=0)
-    assert st.mode == "monte_carlo" and st.trials == 50
+    assert st.mode == "sampled" and st.trials == 50
 
 
 def test_ie_statistics_validation():
@@ -161,7 +167,7 @@ _DSS7 = frames.build_dss(7)
 @pytest.mark.parametrize("call", [
     lambda: patterns.pattern_set(7, 2, "sampled", trials=0),
     lambda: patterns.pattern_set(7, 2, "sampled", trials=-3),
-    lambda: patterns.ie_statistics(_DSS7, 2, mode="monte_carlo", trials=0),
+    lambda: patterns.ie_statistics(_DSS7, 2, mode="sampled", trials=0),
     lambda: spectral.eigen_histogram(_DSS7, 2, trials=0),
     lambda: optimize.local_search(_DSS7, 2, pattern_budget=0),
     lambda: coder.simulate(_DSS7, 2, 1.0, 1.0, trials=0),

@@ -2,6 +2,7 @@
 beta optimizer against a dense-grid oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def test_rdf_values():
     assert rd.rdf(1.0, 4.0) == 1.0
     assert rd.rdf(0.5, 1.0) == 0.0
     assert abs(rd.rdf(0.2, 1000.0) - RDF_02_1000) < 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rd.rdf(0.0, 4.0), "p must lie in (0, 1]"),
+    (lambda: rd.rdf(1.5, 4.0), "p must lie in (0, 1]"),
+    (lambda: rd.rdf(0.5, 0.0), "gamma must be positive"),
+    (lambda: rd.si_benchmark(-0.1), "p must lie in [0, 1]"),
+    (lambda: rd.si_benchmark(1.5), "p must lie in [0, 1]"),
+], ids=["rdf-p0", "rdf-p-above-1", "rdf-gamma", "si-p-negative", "si-p-above-1"])
+def test_rate_formulas_refuse_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_wiener_balanced():
@@ -285,17 +298,22 @@ def test_optimize_beta_domain():
         rd.optimize_beta(1.0, 100.0)
 
 
+@pytest.mark.parametrize("p, gamma", [
+    (0.0, 100.0),
+    (-0.1, 100.0),
+    (math.nan, 100.0),
+    (0.2, math.nan),
+    (0.2, math.inf),
+    (0.2, 0.5),
+], ids=["p0", "p_negative", "p_nan", "gamma_nan", "gamma_inf", "gamma_below_1"])
+def test_optimize_beta_refuses_outside_its_domain(p, gamma):
+    match = re.escape(f"need 0 < p < 1 and finite gamma >= 1, got p={p}, gamma={gamma}")
+    with pytest.raises(ValueError, match=match):
+        rd.optimize_beta(p, gamma)
+
+
 def test_high_sdr_asymptote():
     assert rd.high_sdr_asymptote(0.2, math.e) == 0.0
     assert abs(rd.high_sdr_asymptote(0.2, 1e6) - ASYMPTOTE_02_1E6) < 1e-12
     with pytest.raises(ValueError):
         rd.high_sdr_asymptote(0.2, 2.0)
-
-
-def test_rdpoint_consistency():
-    pt = rd.RDPoint.at(0.2, 1.25, 100.0, 2.4)
-    assert abs(pt.delta_bits - (pt.rate_bits - pt.rdf_bits)) < 1e-12
-    assert pt.si_bits == rd.si_benchmark(0.2)
-    assert pt.gamma_db == 20.0
-    with pytest.raises(AttributeError):
-        pt.eta = 3.0

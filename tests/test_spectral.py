@@ -736,6 +736,28 @@ def test_eigen_route_failure_raises_linalg_error(monkeypatch, role, failed):
         spectral.gram_eigenvalues(frames.build_random_iid(12, 6), [(0, 1, 2)])
 
 
+def test_potrf_illegal_argument_raises(monkeypatch):
+    monkeypatch.setitem(spectral.routines(np.dtype(float)), "potrf", lambda g, *flags: (g, -2))
+    with pytest.raises(ValueError, match="potrf: illegal argument 2"):
+        spectral.cholesky(np.eye(2))
+
+
+@pytest.mark.parametrize("route", [
+    lambda: spectral.inverse_energy(frames.build_random_iid(12, 6), (0, 1, 2)),
+    lambda: spectral.dss_eta(frames.build_dss(7), (0, 1)),
+], ids=["factor_rows", "dss_eta"])
+def test_trtri_failure_raises(monkeypatch, route):
+    # both routes invert a real lower factor with the float64 table's trtri
+    monkeypatch.setitem(spectral.routines(np.dtype(float)), "trtri", lambda low, *flags: (low, 1))
+    with pytest.raises(ValueError, match="trtri failed with info=1"):
+        route()
+
+
+def test_mp_density_refuses_beta_below_one():
+    with pytest.raises(ValueError, match=r"beta >= 1 required \(k <= m\)"):
+        spectral.mp_density(1.0, 0.5)
+
+
 def _exact_two_row_eta(a_s):
     """eta of two real rows in rational arithmetic, exact for their double
     values: tr(G^{-1}) / m = (g00 + g11) / (m det G)."""
@@ -829,7 +851,6 @@ def test_factor_rows_takes_no_eigensolver():
 
 def test_one_singular_pattern_exception():
     assert coder.SingularPatternError is spectral.SingularPatternError
-    assert framelab.SingularPatternError is spectral.SingularPatternError
     assert issubclass(spectral.SingularPatternError, np.linalg.LinAlgError)
     assert issubclass(spectral.SingularPatternError, ValueError)
 
