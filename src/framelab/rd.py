@@ -48,7 +48,7 @@ def rdf(p, gamma):
     of important samples costs rate."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # nan fails too
         raise ValueError("gamma must be positive")
     return 0.5 * p * math.log2(gamma)
 
@@ -68,7 +68,7 @@ def wiener_alpha(sigma_x2, sigma_q2):
 def scheme_rate(n, m, eta, gamma):
     """(m/n)(1/2) log2(1 + eta (gamma-1)): rate of quantizing m transformed
     samples whose variance is amplified by eta."""
-    if gamma <= 1.0:
+    if not gamma > 1.0:  # nan fails too
         raise ValueError("gamma > 1 required (D < sigma_x^2)")
     if math.isinf(eta):
         return math.inf
@@ -87,7 +87,7 @@ def excess_rate(p, beta, gamma, eta):
     if arg == math.inf:
         log_arg = math.log2(eta) + math.log2(gamma + (1.0 - eta) / eta)
     else:
-        if arg <= 0.0:
+        if not arg > 0.0:  # nan fails too: a nan gamma or eta is refused
             raise ValueError("eta*gamma + 1 - eta must be positive")
         log_arg = math.log2(arg)
     return 0.5 * p * (beta * log_arg - math.log2(gamma))
@@ -228,6 +228,6 @@ def optimize_beta(p, gamma):
 def high_sdr_asymptote(p, gamma):
     """(p/2) log2(ln gamma), the optimal-beta excess in the high-SDR limit;
     grows without bound, but very slowly.  Zero at gamma = e, undefined below."""
-    if gamma < math.e:
+    if not gamma >= math.e:  # nan fails too
         raise ValueError("gamma >= e required (log log must be nonnegative)")
     return 0.5 * p * math.log2(math.log(gamma))

@@ -34,10 +34,12 @@ L from pstrf, the pivoted Cholesky, and its rows come in pivot order, so
 order unless the pattern was screened.  Where a finite eta is needed,
 a singular pattern raises `SingularPatternError`.  Every
 route reads frame rows through `frames.frame_rows`, in float64 or complex128,
-and calls BLAS and LAPACK only through scipy, from one table for each
-(`routines`, so a pattern pays no lookup): numpy and scipy may load separate
-BLAS builds, and moving one pattern's work between their thread pools costs
-more than the arithmetic.
+and calls BLAS and LAPACK only through scipy's f2py routines, from one table
+for each (`routines`, so a pattern pays no lookup): numpy and scipy may load
+separate BLAS builds, and moving one pattern's work between their thread
+pools costs more than the arithmetic.  The table loads scipy.linalg's two
+extension modules on its first use, not the scipy.linalg package, so
+importing this module loads no scipy at all.
 
 The reference eigenvalue laws of the Grams A_s A_s' of random patterns, chosen
 by `reference_law`, are Marchenko--Pastur (i.i.d. frames) and MANOVA
@@ -49,13 +51,15 @@ by 1/beta = k/m, give the limiting eta: 1/(beta - 1) and (beta - w) /
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .frames import Frame, check_patterns, frame_rows, legendre_symbol
 
@@ -145,21 +149,52 @@ def eta_from_eigenvalues(eigenvalues, m):
     return float(np.sum(1.0 / w)) / m
 
 
+# The BLAS/LAPACK prefix of each dtype the table serves, as scipy's
+# `get_blas_funcs` picks it.
+_BLAS_PREFIX = {"f": "s", "d": "d", "F": "c", "D": "z"}
+
+
+def _linalg_extension(name):
+    """scipy.linalg's f2py extension module `name` (_fblas or _flapack),
+    loaded without the scipy.linalg package, whose init imports some 85 scipy
+    modules (and numpy.f2py) that the routine table never uses.  A loaded
+    module is returned as it is.  Otherwise the file is found on the
+    package's path (`find_spec` imports only the top-level scipy), registered
+    in sys.modules and executed, so a later `import scipy.linalg` reuses it:
+    one module object, whose routines are the ones scipy's getters return.
+    A scipy with no such file there (an editable build) takes a plain
+    import."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = importlib.machinery.PathFinder.find_spec(full, package.submodule_search_locations)
+    if spec is None:
+        return importlib.import_module(full)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @cache
 def routines(dtype):
-    """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`,
-    by role: gram (herk/syrk), dot (dotc/dot), trmm, potrf, pstrf (the
-    pivoted Cholesky of a screened finite pattern), trtri, evd (heevd/syevd,
-    the Gram eigenvalues) and evd_lwork (its work-size query).  The kernel
+    """The scipy BLAS/LAPACK routines of the eta kernel for arrays of `dtype`
+    (float32, float64, complex64 or complex128), by role: gram (herk/syrk),
+    dot (dotc/dot), trmm, potrf, pstrf (the pivoted Cholesky of a screened
+    finite pattern), trtri, evd (heevd/syevd, the Gram eigenvalues) and
+    evd_lwork (its work-size query).  Each is read off scipy.linalg's _fblas
+    or _flapack (`_linalg_extension`) by the dtype's BLAS prefix, so it is
+    the very object `get_blas_funcs`/`get_lapack_funcs` return.  The kernel
     passes their flags by position: f2py parses keywords at about 1 us a
     call, as long as a whole k = 5 potrf takes."""
-    probe = np.empty(0, dtype)
-    herk, dot, evd = (("herk", "dotc", "heevd") if np.iscomplexobj(probe)
-                      else ("syrk", "dot", "syevd"))
-    blas = get_blas_funcs((herk, dot, "trmm"), (probe,))
-    lapack = get_lapack_funcs(("potrf", "pstrf", "trtri", evd, evd + "_lwork"), (probe,))
-    return dict(zip(("gram", "dot", "trmm", "potrf", "pstrf", "trtri", "evd", "evd_lwork"),
-                    (*blas, *lapack)))
+    dtype = np.dtype(dtype)
+    prefix = _BLAS_PREFIX[dtype.char]
+    herk, dot, evd = ("herk", "dotc", "heevd") if dtype.kind == "c" else ("syrk", "dot", "syevd")
+    blas, lapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
+    return {role: getattr(module, prefix + name) for role, module, name in (
+        ("gram", blas, herk), ("dot", blas, dot), ("trmm", blas, "trmm"),
+        ("potrf", lapack, "potrf"), ("pstrf", lapack, "pstrf"), ("trtri", lapack, "trtri"),
+        ("evd", lapack, evd), ("evd_lwork", lapack, evd + "_lwork"))}
 
 
 def cholesky(g):

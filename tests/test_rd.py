@@ -43,6 +43,19 @@ def test_rate_formulas_refuse_outside_their_domain(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: rd.rdf(0.2, math.nan), "gamma must be positive"),
+    (lambda: rd.scheme_rate(2, 1, 1.5, math.nan), "gamma > 1 required"),
+    (lambda: rd.random_transform_excess(0.2, 2.0, math.nan),
+     "eta*gamma + 1 - eta must be positive"),
+    (lambda: rd.high_sdr_asymptote(0.2, math.nan), "gamma >= e required"),
+], ids=["rdf", "scheme_rate", "random_transform_excess", "high_sdr_asymptote"])
+def test_rate_formulas_refuse_nan_gamma(call, message):
+    # each domain check is written so that nan fails it: none returns nan
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_wiener_balanced():
     # equal signal and noise variance: distortion and gain both 1/2
     assert abs(rd.wiener_distortion(1.0, 1.0) - 0.5) < 1e-15

@@ -595,7 +595,7 @@ def test_routine_table_matches_scipy_getters(dtype):
     table = spectral.routines(probe.dtype)
     assert sorted(table) == sorted(expected)
     for role, fn in expected.items():
-        assert (table[role].typecode, repr(table[role])) == (fn.typecode, repr(fn)), role
+        assert table[role] is fn, role
 
 
 def _route_outputs(route, data, pats):
@@ -629,27 +629,24 @@ def test_warm_routine_table_makes_no_lookups(frame, k, monkeypatch):
     pats, _ = patterns.pattern_set(frame.n, k, "sampled", 200, 20)
     optimize.mlie_gradient(a, pats[:1])  # warms the table for this dtype
     calls = []
-
-    def counted(getter):
-        def lookup(*args, **kwargs):
-            calls.append(args[0])
-            return getter(*args, **kwargs)
-        return lookup
-
-    for module in (spectral, optimize):
-        for name in ("get_blas_funcs", "get_lapack_funcs"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    load = spectral._linalg_extension
+    monkeypatch.setattr(spectral, "_linalg_extension", lambda name: calls.append(name) or load(name))
     assert all(math.isfinite(eta) for *_, eta in spectral.factored(a, pats))
     optimize.mlie_gradient(a, pats)
     assert calls == []
+    # a cold table loads through the counted loader: the count is live
+    assert spectral.routines.__wrapped__(a.dtype) == spectral.routines(a.dtype)
+    assert calls == ["_fblas", "_flapack"]
 
 
 def test_routine_table_is_the_only_scipy_lookup():
+    # only `routines` names the extension modules or calls their loader
     table = inspect.getsource(spectral.routines)
+    loader = inspect.getsource(spectral._linalg_extension)
     for module in (spectral, optimize, coder, patterns, frames, rd, cli):
-        source = inspect.getsource(module).replace(table, "")
-        for token in ("get_blas_funcs(", "get_lapack_funcs("):
+        source = inspect.getsource(module).replace(table, "").replace(loader, "")
+        for token in ("_fblas", "_flapack", "_linalg_extension", "get_blas_funcs(",
+                      "get_lapack_funcs("):
             assert token not in source, (module.__name__, token)
 
 
@@ -715,13 +712,18 @@ def test_screened_pattern_is_checked_once(monkeypatch):
 
 
 def test_spectral_enters_scipy_only_through_the_routine_getters():
-    # every LAPACK call comes from `routines`: no scipy wrapper such as eigh
-    source = inspect.getsource(spectral)
-    names = {(node.module, alias.name) for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.ImportFrom) and "scipy" in (node.module or "")
-             for alias in node.names}
-    assert names == {("scipy.linalg", "get_blas_funcs"), ("scipy.linalg", "get_lapack_funcs")}
-    assert "import scipy" not in source
+    # every LAPACK call comes from `routines`, whose f2py modules the loader
+    # finds by name: spectral imports no scipy module, so it can call no
+    # scipy wrapper such as eigh, and only the loader touches the import system
+    tree = ast.parse(inspect.getsource(spectral))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert [name for name in modules if name and name.split(".")[0] == "scipy"] == []
+    importers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and any(isinstance(sub, ast.Name) and sub.id in ("importlib", "sys")
+                         for sub in ast.walk(node))}
+    assert importers == {"_linalg_extension"}
 
 
 @pytest.mark.parametrize("role, failed", [
