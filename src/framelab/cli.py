@@ -186,7 +186,7 @@ def cmd_eig_hist(args):
 
     # one eigenvalue sweep, binned over the full range and over the zoom
     full = spectral.eigen_histogram(frame, k, trials=args.trials, bins=args.bins,
-                                    seed=args.seed, value_range=law.value_range)
+                                    seed=args.seed)
     zoom_range = (0.0, 0.2)
     for path, rng_, hist in ((args.out, law.value_range, full),
                              (zoom_path(args.out), zoom_range, full.rebin(zoom_range))):

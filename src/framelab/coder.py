@@ -13,9 +13,10 @@ complex Gaussians with the same per-sample variances, so the scalar identities
 carry over unchanged.
 
 The encoder solves no system of its own: it reads B_s and eta_s off the eta
-kernel's inverse factor Y of the pattern Gram (`spectral.factored`), so the
-coder, ie-hist, mlie and the MLIE gradient share one factor, one singular
-decision and one eta.
+kernel's inverse factor Y of the pattern Gram (`spectral.factored` on A_s), so
+the coder, ie-hist, mlie and the MLIE gradient share one factor, one singular
+decision and one eta.  Each block of trials gathers its A_s once, and that
+gather is also its one pattern check.
 """
 
 from __future__ import annotations
@@ -34,24 +35,23 @@ from .spectral import SingularPatternError
 __all__ = ["encoder_matrix", "PatternTally", "CoderReport", "simulate"]
 
 
-def encoder_matrix(frame, pattern):
-    """The pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k, columns in the
-    pattern's order) and eta_s = ||B_s||_F^2 / m, both from `spectral.factored`.
+def encoder_matrix(a_s):
+    """The pseudo-inverse B_s = A_s'(A_s A_s')^{-1} (m x k, columns in A_s's
+    row order) of the k x m pattern submatrix `a_s`, and eta_s =
+    ||B_s||_F^2 / m, both from `spectral.factored` on A_s itself.
 
-    The kernel gives the pattern's rows in Y's order (canonical, or pstrf's
+    The kernel gives A_s's row positions in Y's order (canonical, or pstrf's
     pivot order for a screened pattern), a lower-triangular Y with
     Y^H Y = conj(G)^{-1} for their Gram G, and eta; Y is None exactly when
-    eta is inf, and then the pattern raises `SingularPatternError`.  With
-    z = conj(Y), columns taken in the pattern's order (column i is the
-    position of pattern row i in Y's order), z^H z = (A_s A_s')^{-1} and
+    eta is inf, and then `SingularPatternError` is raised.  With
+    z = conj(Y), columns taken by the inverse permutation (column i is the
+    position of row i in Y's order), z^H z = (A_s A_s')^{-1} and
     B_s = (z A_s)' z.
     """
-    a_s = frame.submatrix(pattern)  # checks the pattern
-    rows, y, eta = next(spectral.factored(frame, [pattern]))
+    rows, y, eta = next(spectral.factored(a_s, [range(len(a_s))]))
     if y is None:
-        raise SingularPatternError(f"pattern {pattern} is numerically rank deficient")
-    order = np.argsort(rows)
-    z = y.conj()[:, order[np.searchsorted(rows, pattern, sorter=order)]]
+        raise SingularPatternError("A_s is numerically rank deficient")
+    z = y.conj()[:, np.argsort(rows)]
     return (z @ a_s).conj().T @ z, eta
 
 
@@ -111,7 +111,8 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     With `pattern` fixed (or k = n), every trial uses that one pattern and one
     encoder, drawn as one block from the stream `seed`; otherwise trial t
     draws a uniform pattern from substream (seed, t, 1) and its samples from
-    (seed, t).  Trials whose sampled pattern is singular are counted
+    (seed, t).  A block's A_s (`Frame.submatrix`) feeds both its encoder and
+    its decoder.  Trials whose sampled pattern is singular are counted
     in singular_skipped and excluded from the averages.
     """
     n, m = frame.n, frame.m
@@ -140,13 +141,13 @@ def simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=None) -> Code
     max_interp = 0.0
     used = 0
     for idx, rng, rows in blocks:
+        a_s = frame.submatrix(idx)  # the block's one gather and pattern check
         try:
-            b, eta = encoder_matrix(frame, idx)
+            b, eta = encoder_matrix(a_s)
         except SingularPatternError:
             if pattern is not None:
                 raise SingularPatternError(f"fixed pattern {idx} is singular") from None
             continue
-        a_s = frame.submatrix(idx)
         x = _draw(rng, (rows, k), sigma_x2, complex_field)
         q = _draw(rng, (rows, m), sigma_q2, complex_field)
         f = x @ b.T

@@ -38,6 +38,8 @@ __all__ = [
 
 ENUMERATION_GUARD = 10 ** 6
 
+SQUARE_ZETA = 1.0  # square_random_divergence's zeta
+
 
 class PatternGuardError(ValueError):
     """Exhaustive enumeration refused: too many patterns."""
@@ -173,14 +175,15 @@ class SquareDivergence:
     trials: int
 
 
-def square_random_divergence(k_list, trials=100, seed=0, zeta=1.0):
+def square_random_divergence(k_list, trials=100, seed=0):
     """Divergence study of (1/k) tr((A A')^{-1}) for square i.i.d. Gaussian
     matrices (entry variance 1/k), one summary per k.
 
     The k^2/(2 pi e) <= E[.] <= k^3/(2 pi e) bracket is asymptotic and the
     sample mean is heavy-tailed, so its position is reported, not asserted;
-    the threshold zeta feeds the almost-sure divergence check
-    P[eta >= 1 + zeta] -> 1.
+    the threshold SQUARE_ZETA feeds the almost-sure divergence check
+    P[eta >= 1 + zeta] -> 1.  Each eta is `spectral.inverse_energy`'s, so a
+    singular matrix reads inf under the kernel's one singularity policy.
     """
     if list(k_list) != sorted(k_list):
         raise ValueError("k_list must be ascending")
@@ -190,8 +193,7 @@ def square_random_divergence(k_list, trials=100, seed=0, zeta=1.0):
         for t in range(trials):
             rng = np.random.default_rng((seed, j, t))
             a = rng.standard_normal((k, k)) / math.sqrt(k)
-            w, = spectral.gram_eigenvalues(a, [range(k)])
-            vals[t] = spectral.eta_from_eigenvalues(w, k)
+            vals[t] = spectral.inverse_energy(a, range(k))
         finite = vals[np.isfinite(vals)]
         lo = k ** 2 / (2.0 * math.pi * math.e)
         hi = k ** 3 / (2.0 * math.pi * math.e)
@@ -201,8 +203,8 @@ def square_random_divergence(k_list, trials=100, seed=0, zeta=1.0):
                 k=int(k),
                 mean=mean,
                 median=float(np.median(finite)) if finite.size else math.inf,
-                fraction_above=float(np.mean(vals >= 1.0 + zeta)),
-                zeta=zeta,
+                fraction_above=float(np.mean(vals >= 1.0 + SQUARE_ZETA)),
+                zeta=SQUARE_ZETA,
                 lower_bound=lo,
                 upper_bound=hi,
                 mean_within_bounds=bool(lo <= mean <= hi),

@@ -16,22 +16,23 @@ at once (`factor_rows`), factors conj(G) = L L' for G = A_s A_s' (`gram` forms
 the conjugate in the lower triangle, zero above it), and reads
 eta = ||L^{-1}||_F^2 / m off the inverse factor.  `inverse_energy` (ie-hist,
 mlie), `optimize.sampled_mlie`, `optimize.mlie_gradient` and
-`coder.encoder_matrix` share it, so they agree bit for bit, with one
-exception: `inverse_energy` on a Frame holding `build_dss`'s rows (its
-`has_dss_rows`, checked once per Frame; a kind is otherwise a label) takes
-`dss_eta`, which reads eta off the pattern's real k x k Legendre matrix (no
-A_s and no complex Gram) and returns `factored`'s eta wherever its own
-factor or Sherman--Morrison denominator is in doubt.  So such a Frame's eta
-and its bare rows' may differ in the last bits; every other Frame, and
-every caller that passes rows, takes `factored`.  There is one
-singularity policy: `cholesky` gives no factor when potrf fails or its
+`coder.encoder_matrix` (on the A_s it is given) share it, so they agree bit
+for bit, with one exception: `inverse_energy` on a Frame holding
+`build_dss`'s rows (its `has_dss_rows`, checked once per Frame; a kind is
+otherwise a label) takes `dss_eta`, which reads eta off the pattern's real
+k x k Legendre matrix (no A_s and no complex Gram) and returns `factored`'s
+eta wherever its own factor or Sherman--Morrison denominator is in doubt.
+So such a Frame's eta and its bare rows' may differ in the last bits; every
+other Frame, and every caller that passes rows, takes `factored`.  There is
+one singularity policy: `cholesky` gives no factor when potrf fails or its
 squared pivot ratio is under sqrt(eps), and then the Gram's eigenvalues
 decide singular (eta = inf) or finite.  Every finite pattern has one kind of
 inverse factor, a lower-triangular Y with Y^H Y = conj(G)^{-1}, and one eta,
 ||Y||_F^2 / m: Y = L^{-1}, where a pattern without a `cholesky` factor takes
 L from pstrf, the pivoted Cholesky, and its rows come in pivot order, so
 `factored` yields each pattern's rows in Y's order, which is the canonical
-order unless the pattern was screened.  Where a finite eta is needed,
+order unless the pattern was screened; a screened pattern forms one fresh
+Gram, for its eigenvalues and pstrf both.  Where a finite eta is needed,
 a singular pattern raises `SingularPatternError`.  Every
 route reads frame rows through `frames.frame_rows`, in float64 or complex128,
 and calls BLAS and LAPACK only through scipy's f2py routines, from one table
@@ -113,21 +114,22 @@ class SingularPatternError(np.linalg.LinAlgError):
 
 def _canonical_order(data, idx):
     """Row indices of the (T, k) set `idx`, which `frames.check_patterns` has
-    passed, each pattern's rows in canonical (lexicographic) order of their
-    entries.
+    passed, over the C-contiguous rows `data` (both as `chunks` holds them),
+    each pattern's rows in canonical (lexicographic) order of their entries.
 
     Reordering rows conjugates the Gram by a permutation, which leaves
     eigenvalues and eta mathematically fixed but perturbs floating point;
     sorting first makes eta bitwise invariant under row/pattern relabeling.
+    Rows tied on every key keep the order `idx` gives them; they are equal
+    rows, so their Gram is the same either way and their pattern singular.
     """
-    idx = np.sort(idx, axis=1)
     n, (t, k) = len(data), idx.shape
     # One lexsort orders the whole set, the pattern as primary key.  Once the
     # leading keys leave no two rows of a pattern tied, the later keys never
     # decide a comparison and the short sort is the full one.  Patterns with
     # ties (repeated rows) take the full sort.  Frame data is finite, so ==
     # sees every tie.
-    key = np.ascontiguousarray(data).view(np.float64).reshape(n, -1)
+    key = data.view(np.float64).reshape(n, -1)
     pid = np.repeat(np.arange(t), k)
     lead = key[idx.ravel(), :_LEADING_KEYS]
     order = np.lexsort((*lead.T[::-1], pid))
@@ -259,10 +261,11 @@ def chunks(data, idx):
     """The canonical rows of the (T, k) pattern set `idx` as consecutive
     (T_c, k) blocks: as many patterns as keep their k x m rows and k x k Grams
     within _CHUNK_BYTES, and at least one.  The whole set is checked once
-    (`frames.check_patterns`), then each block is put in canonical order on
-    its own (`_canonical_order`): the order is per pattern, so the blocks
-    hold the rows one order of the whole set would give, and the sort keys
-    of a large set never exist all at once.  The eta kernel and the eigen
+    (`frames.check_patterns`, which sorts each pattern for its repeat test),
+    then each block is put in canonical order on its own by one lexsort
+    (`_canonical_order`, no second sort): the order is per pattern, so the
+    blocks hold the rows one order of the whole set would give, and the sort
+    keys of a large set never exist all at once.  The eta kernel and the eigen
     route both read their sets through here."""
     data = np.ascontiguousarray(frame_rows(data))  # one copy at most, not one a chunk
     idx = check_patterns(len(data), idx)
@@ -276,26 +279,27 @@ def factor_rows(data, rows):
     over frame rows as `frames.frame_rows` gives them.  One gather forms every
     A_s of the block; it is dropped once their Grams are formed, and each
     Gram is then factored in place.  A Gram without a `cholesky` factor is
-    screened: the eigenvalues of a fresh Gram of its rows decide singular
-    (Y None, eta inf) or finite, and a finite one takes pstrf, the pivoted
-    Cholesky P^T conj(G) P = L L^H of another fresh Gram.  Its pattern's rows
-    are then yielded in pivot order, the order of Y = L^{-1}, and written
-    back into `rows`: after the loop each row of the block holds its
-    pattern's rows in Y's order (canonical where the pattern has a
-    `cholesky` factor), so a caller that gathers A_s from the block (the
-    gradient) gathers it in Y's order."""
+    screened: one fresh Gram of its rows is formed, the eigenvalues of a copy
+    decide singular (Y None, eta inf) or finite, and a finite one takes
+    pstrf, the pivoted Cholesky P^T conj(G) P = L L^H, on that Gram.  Its
+    pattern's rows are then yielded in pivot order, the order of
+    Y = L^{-1}, and written back into `rows`: after the loop each row of the
+    block holds its pattern's rows in Y's order (canonical where the pattern
+    has a `cholesky` factor), so a caller that gathers A_s from the block
+    (the gradient) gathers it in Y's order."""
     m = data.shape[1]
     fn = routines(data.dtype)
     grams = [gram(a_s) for a_s in data[rows]]  # the gather is freed once they exist
     for r, g in zip(rows, grams):
         low = cholesky(g)
         if low is None:
-            if math.isinf(eta_from_eigenvalues(_eigenvalues(gram(data[r])), m)):
+            g = gram(data[r])  # potrf has overwritten the block's Gram
+            if math.isinf(eta_from_eigenvalues(_eigenvalues(g.copy(order="F")), m)):
                 yield r, None, math.inf
                 continue
             # tol=0: the eigenvalues have decided, so pstrf stops only where a
             # pivot is not positive; lower, overwrite_a
-            low, piv, _, info = fn["pstrf"](gram(data[r]), 0.0, 1, 1)
+            low, piv, _, info = fn["pstrf"](g, 0.0, 1, 1)
             if info:
                 raise ValueError(f"pstrf failed with info={info}")
             r[:] = r[piv - 1]
@@ -542,22 +546,20 @@ class EigenHistogram:
                                                value_range, self.trials, self.seed)
 
 
-def eigen_histogram(frame, k, trials, bins=100, seed=0, value_range=None) -> EigenHistogram:
-    """Aggregate eigenvalues of A_s A_s' over `trials` uniform random patterns.
-
-    The default range is the one of the frame's `reference_law`.  Per-trial
-    RNG streams are derived from (seed, trial), so the aggregate is
-    independent of evaluation order.  The whole set takes one
-    `gram_eigenvalues` call, so it is checked once and ordered a chunk at a
-    time.
+def eigen_histogram(frame, k, trials, bins=100, seed=0) -> EigenHistogram:
+    """Aggregate eigenvalues of A_s A_s' over `trials` uniform random patterns,
+    binned over the value range of the frame's `reference_law` (`rebin` bins
+    the same sample over another).  Per-trial RNG streams are derived from
+    (seed, trial), so the aggregate is independent of evaluation order.  The
+    whole set takes one `gram_eigenvalues` call, so it is checked once and
+    ordered a chunk at a time.
     """
     from .patterns import pattern_set  # deferred: patterns imports spectral
 
     law = reference_law(frame, k)  # refuses k outside (0, m]
     idx, _ = pattern_set(frame.n, k, "sampled", trials, seed)
-    return EigenHistogram.from_eigenvalues(
-        gram_eigenvalues(frame, idx).ravel(), bins,
-        law.value_range if value_range is None else value_range, trials, seed)
+    return EigenHistogram.from_eigenvalues(gram_eigenvalues(frame, idx).ravel(), bins,
+                                           law.value_range, trials, seed)
 
 
 def l1_density_distance(hist, density_fn):

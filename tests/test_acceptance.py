@@ -139,8 +139,8 @@ def test_c03_manova_limit(dss947_etas, spec947_etas):
 def test_c04_eigen_density_fits(dss947):
     mp_hi = 1.02 * spectral.mp_edges(BETA_947)[1]
     iid = frames.build_random_iid(947, 473, seed=0)
-    h_iid = spectral.eigen_histogram(iid, 378, trials=200, bins=100, seed=0,
-                                     value_range=(0.0, mp_hi))
+    assert spectral.reference_law(iid, 378).value_range == (0.0, mp_hi)
+    h_iid = spectral.eigen_histogram(iid, 378, trials=200, bins=100, seed=0)
     l1_iid = spectral.l1_density_distance(h_iid, lambda x: spectral.mp_density(x, BETA_947))
     h_dss = spectral.eigen_histogram(dss947, 378, trials=200, bins=100, seed=0)
     l1_dss = spectral.l1_density_distance(
@@ -152,8 +152,7 @@ def test_c04_eigen_density_fits(dss947):
     for seed in range(1, 5):
         hd = spectral.eigen_histogram(dss947, 378, trials=100, bins=10, seed=seed)
         hi = spectral.eigen_histogram(frames.build_random_iid(947, 473, seed=seed),
-                                      378, trials=100, bins=10, seed=seed,
-                                      value_range=(0.0, mp_hi))
+                                      378, trials=100, bins=10, seed=seed)
         seed_pairs.append((hd.min_eigenvalue, hi.min_eigenvalue))
     wins = sum(d > i for d, i in seed_pairs)
     ok = l1_iid < 0.1 and l1_dss < 0.1 and wins == 5

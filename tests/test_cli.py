@@ -131,8 +131,7 @@ def test_eig_hist_zoom_bins_the_same_sweep(tmp_path):
                    "--k", "10", "--trials", "7", "--seed", "4", "--out", str(out)])
     assert rc == 0
     f = frames.build_random_iid(40, 20)
-    zoom = spectral.eigen_histogram(f, 10, trials=7, bins=100, seed=4,
-                                    value_range=(0.0, 0.2))
+    zoom = spectral.eigen_histogram(f, 10, trials=7, bins=100, seed=4).rebin((0.0, 0.2))
     rows = [ln.strip().split(",") for ln in _rows(tmp_path / "eig_zoom.csv")][1:]
     assert [float(r[1]) for r in rows] == zoom.density.tolist()
     for key in ("min_eigenvalue", "max_eigenvalue"):

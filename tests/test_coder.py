@@ -16,17 +16,18 @@ from framelab import coder, frames, patterns, rd, spectral
 def test_encoder_matrix_unitary_is_adjoint():
     # orthonormal rows: (A_s A_s')^{-1} = I, so B_s is just the adjoint
     f = frames.build_bandlimited_dft(8, 8)
-    b, eta = coder.encoder_matrix(f, (1, 4, 6))
+    a_s = f.submatrix((1, 4, 6))
+    b, eta = coder.encoder_matrix(a_s)
     assert eta == pytest.approx(3 / 8, rel=1e-15)
     assert b.shape == (8, 3)
-    assert np.allclose(b, f.submatrix((1, 4, 6)).conj().T, atol=1e-12)
+    assert np.allclose(b, a_s.conj().T, atol=1e-12)
 
 
 def test_encoder_matrix_interpolates_exactly():
     f = frames.build_dss(7)
     for pat in [(1, 5), (0, 2, 6), (3,)]:
-        b, _ = coder.encoder_matrix(f, pat)
         a_s = f.submatrix(pat)
+        b, _ = coder.encoder_matrix(a_s)
         assert np.allclose(a_s @ b, np.eye(len(pat)), atol=1e-10)
 
 
@@ -35,7 +36,7 @@ def test_encoder_matrix_energy_is_eta():
     # the kernel's, so the bare rows' (a dss Frame takes `spectral.dss_eta`)
     f = frames.build_dss(11)
     for pat in [(0, 3, 7), (1, 2, 4, 8), (5, 9), (8, 4, 2, 1)]:
-        b, eta = coder.encoder_matrix(f, pat)
+        b, eta = coder.encoder_matrix(f.submatrix(pat))
         assert eta == spectral.inverse_energy(f.data, pat)
         assert abs(np.vdot(b, b).real / f.m - eta) < 1e-10
 
@@ -43,7 +44,7 @@ def test_encoder_matrix_energy_is_eta():
 def test_encoder_matrix_singular():
     f = frames.build_dft_spectrum(8, [0, 2, 4, 6])  # rows t and t+4 coincide
     with pytest.raises(coder.SingularPatternError):
-        coder.encoder_matrix(f, (0, 4))
+        coder.encoder_matrix(f.submatrix((0, 4)))
 
 
 def _cho_solve_encoder(frame, pattern):
@@ -63,14 +64,14 @@ def _cho_solve_encoder(frame, pattern):
     (lambda: frames.build_dss(127), 50),
 ], ids=["iid-real", "iid-complex", "paley38", "dss127"])
 def test_encoder_matrix_matches_the_cho_solve_encoder(build, k):
-    # the factor's canonical order maps back to the pattern's: sorted and
+    # the factor's canonical order maps back to A_s's row order: sorted and
     # shuffled patterns alike give the old solve's B_s to rounding
     f = build()
     rng = np.random.default_rng(k)
     for t in range(20):
         pat = rng.choice(f.n, k, replace=False)
         pat = tuple((np.sort(pat) if t % 2 else pat).tolist())
-        b, eta = coder.encoder_matrix(f, pat)
+        b, eta = coder.encoder_matrix(f.submatrix(pat))
         want = _cho_solve_encoder(f, pat)
         assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want), pat
         assert eta == spectral.inverse_energy(f.data, pat)
@@ -118,6 +119,21 @@ def test_simulate_energy_identity():
     assert abs(r.empirical_f_energy - r.model_f_energy) < 3.0 * se
 
 
+def test_simulate_gathers_each_block_once(monkeypatch):
+    # one Frame.submatrix per block: the gather, the pattern check and the
+    # encoder's and decoder's A_s at once
+    calls = []
+    route = frames.Frame.submatrix
+    monkeypatch.setattr(frames.Frame, "submatrix",
+                        lambda self, pattern: calls.append(pattern) or route(self, pattern))
+    f = frames.build_dss(7)
+    coder.simulate(f, 2, 1.0, 1.0, trials=5, seed=1)
+    assert len(calls) == 5
+    calls.clear()
+    coder.simulate(f, 2, 1.0, 1.0, trials=5, seed=1, pattern=(5, 1))
+    assert calls == [(5, 1)]
+
+
 def test_simulate_fixed_pattern():
     f = frames.build_dss(7)
     r = coder.simulate(f, 2, 1.0, 0.5, trials=2000, seed=3, pattern=(1, 5))
@@ -144,12 +160,13 @@ def _reference_simulate(frame, k, sigma_x2, sigma_q2, trials, seed=0, pattern=No
 
     def lookup(idx):
         if idx not in cache:
+            a_s = frame.submatrix(idx)
             try:
-                b, eta = coder.encoder_matrix(frame, idx)
+                b, eta = coder.encoder_matrix(a_s)
             except coder.SingularPatternError:
                 cache[idx] = None
             else:
-                cache[idx] = (frame.submatrix(idx), b, eta)
+                cache[idx] = (a_s, b, eta)
         return cache[idx]
 
     if pattern is not None:
@@ -237,8 +254,8 @@ def test_simulate_fixed_matches_block_reference():
     alpha = rd.wiener_alpha(1.0, 0.3)
     rng = np.random.default_rng(0)
     x = coder._draw(rng, (10000, 4), 1.0, False)
-    y = x @ coder.encoder_matrix(f, pattern)[0].T + coder._draw(rng, (10000, f.m), 0.3, False)
     a_s = f.submatrix(pattern)
+    y = x @ coder.encoder_matrix(a_s)[0].T + coder._draw(rng, (10000, f.m), 0.3, False)
     assert np.any(alpha * (y @ a_s.T) != (alpha * y) @ a_s.T)
     got = _report_fields(coder.simulate(f, 4, 1.0, 0.3, trials=10000, pattern=pattern))
     want = _report_fields(_reference_simulate(f, 4, 1.0, 0.3, trials=10000, pattern=pattern))
@@ -340,10 +357,10 @@ def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
         if math.isinf(eta):
             singular += 1
             with pytest.raises(coder.SingularPatternError):
-                coder.encoder_matrix(f, pat)
+                coder.encoder_matrix(f.submatrix(pat))
         else:
             finite += 1
-            b, b_eta = coder.encoder_matrix(f, pat)
+            b, b_eta = coder.encoder_matrix(f.submatrix(pat))
             # the encoder's eta is the kernel's; a dss Frame's (`dss_eta`)
             # may differ from it in the last bits on another BLAS kernel
             assert b_eta == spectral.inverse_energy(f.data, pat)
@@ -356,8 +373,8 @@ def test_encoder_matrix_and_inverse_energy_agree_on_singularity():
 
 def test_encoder_matrix_failed_cholesky_falls_back(monkeypatch):
     f = frames.build_dss(11)
-    want, _ = coder.encoder_matrix(f, (0, 3, 7))
+    want, _ = coder.encoder_matrix(f.submatrix((0, 3, 7)))
     monkeypatch.setattr(spectral, "cholesky", lambda g: None)
-    assert np.allclose(coder.encoder_matrix(f, (0, 3, 7))[0], want, atol=1e-12)
+    assert np.allclose(coder.encoder_matrix(f.submatrix((0, 3, 7)))[0], want, atol=1e-12)
     with pytest.raises(coder.SingularPatternError):
-        coder.encoder_matrix(frames.build_dft_spectrum(8, [0, 2, 4, 6]), (0, 4))
+        coder.encoder_matrix(frames.build_dft_spectrum(8, [0, 2, 4, 6]).submatrix((0, 4)))

@@ -332,6 +332,22 @@ def test_local_search_zero_iterations_is_identity():
     assert np.array_equal(out.data, f.data)
 
 
+def test_local_search_stops_where_no_step_scale_is_productive(monkeypatch):
+    # a first step so long that even its 49th halving leaves the Armijo bound
+    # far below any MLIE: all 50 trials fail, and the search stops converged
+    # at its start (the carried trial is a gradient, the other 49 sampled)
+    evals = []
+    route = optimize.sampled_mlie
+    monkeypatch.setattr(optimize, "sampled_mlie", lambda a, pats: evals.append(1) or route(a, pats))
+    f = frames.build_bandlimited_dft(13, 7)
+    rep, out = optimize.local_search(f, 5, pattern_budget=35, step_init=1e30, max_iters=5)
+    assert rep.converged
+    assert rep.iterations == 0 and rep.step_history == ()
+    assert rep.final_mlie == rep.initial_mlie
+    assert len(evals) == 1 + 49 + 1  # the start, the halved trials, the fresh sample
+    assert np.array_equal(out.data, optimize.project_rows(np.array(f.data)))
+
+
 def test_local_search_leaves_dss_alone():
     # the difference-set frame already sits at a stationary point
     rep, _ = optimize.local_search(frames.build_dss(7), 2, max_iters=40)

@@ -196,7 +196,7 @@ def test_reference_matches_exact_rationals(frame, pattern):
 
 def _encoder_within_the_reference(frame, pattern):
     a_s = frame.submatrix(pattern)
-    b, eta = coder.encoder_matrix(frame, pattern)
+    b, eta = coder.encoder_matrix(a_s)
     ref = reference_eta(a_s)
     residual = _wide(a_s) @ _wide(b) - np.eye(len(pattern))
     assert np.sqrt(np.sum(np.abs(residual) ** 2)) <= C * EPS * max(1.0, ref)

@@ -214,7 +214,7 @@ _PATTERN_ROUTES = {
     "sampled_mlie": lambda f, s: optimize.sampled_mlie(f, [s]),
     "mlie_gradient": lambda f, s: optimize.mlie_gradient(f, [s]),
     "submatrix": lambda f, s: f.submatrix(s),
-    "encoder_matrix": coder.encoder_matrix,
+    "encoder_matrix": lambda f, s: coder.encoder_matrix(f.submatrix(s)),
     "simulate": lambda f, s: coder.simulate(f, 2, 1.0, 1.0, 3, pattern=s),
 }
 
@@ -248,7 +248,7 @@ def test_inverse_energy_takes_a_frame_its_array_or_its_nested_list(label):
 def test_empty_patterns_are_named():
     f = frames.build_dss(7)
     with pytest.raises(frames.PatternError, match="empty pattern"):
-        coder.encoder_matrix(f, [])
+        coder.encoder_matrix(f.submatrix([]))
     with pytest.raises(ValueError, match="empty pattern"):
         optimize.mlie_gradient(f, [])  # checked before it scales by 1/len
 
@@ -798,6 +798,16 @@ def _complex_rows_at_angle(theta, phase):
     return frames.Frame(a)
 
 
+def test_screened_pattern_forms_one_fresh_gram(monkeypatch):
+    # potrf overwrites the block's Gram; one fresh Gram then serves both the
+    # eigenvalues (on a copy) and pstrf, and eta keeps its bits
+    grams = []
+    route = spectral.gram
+    monkeypatch.setattr(spectral, "gram", lambda a_s: grams.append(a_s.shape) or route(a_s))
+    assert spectral.inverse_energy(_two_rows_at_angle(5e-6), (0, 1)) == 39999996690.385445
+    assert grams == [(2, 2), (2, 2)]
+
+
 @pytest.mark.parametrize("frame", [
     _two_rows_at_angle(5e-6), _two_rows_at_angle(2e-6),
     _complex_rows_at_angle(4e-6, math.pi / 5),
@@ -816,7 +826,7 @@ def test_screened_finite_pattern_takes_the_pivoted_factor(monkeypatch, frame):
     monkeypatch.setitem(table, "pstrf", lambda g, *flags: calls.append(len(g)) or pstrf(g, *flags))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b, b_eta = coder.encoder_matrix(frame, (0, 1))
+        b, b_eta = coder.encoder_matrix(frame.submatrix((0, 1)))
         grad = optimize.mlie_gradient(frame, [(0, 1)])[1]
     assert calls == [2, 2]  # one for the encoder, one for the gradient
     assert b_eta == eta
@@ -961,7 +971,7 @@ def test_eta_never_nan_on_rank_deficient_patterns(case):
     with pytest.raises(spectral.SingularPatternError):  # raises rather than return nan
         optimize.mlie_gradient(f, [s])
     with pytest.raises(coder.SingularPatternError):
-        coder.encoder_matrix(f, s)
+        coder.encoder_matrix(f.submatrix(s))
 
 
 def _tilted_case(seed, m, theta, complex_field):
@@ -1271,7 +1281,9 @@ def test_eigen_histogram_rebin_matches_fresh_sweep():
     f = frames.build_random_iid(40, 20, seed=0)
     a = spectral.eigen_histogram(f, 16, trials=20, bins=30, seed=3)
     b = a.rebin((0.0, 0.2))
-    c = spectral.eigen_histogram(f, 16, trials=20, bins=30, seed=3, value_range=(0.0, 0.2))
+    idx, _ = patterns.pattern_set(f.n, 16, "sampled", 20, 3)
+    c = spectral.EigenHistogram.from_eigenvalues(spectral.gram_eigenvalues(f, idx).ravel(), 30,
+                                                 (0.0, 0.2), 20, 3)
     for x, y in ((b.bin_edges, c.bin_edges), (b.counts, c.counts), (b.density, c.density),
                  (b.eigenvalues, c.eigenvalues)):
         assert np.array_equal(x, y)
@@ -1281,8 +1293,9 @@ def test_eigen_histogram_rebin_matches_fresh_sweep():
 
 def test_eigen_histogram_area_one():
     f = frames.build_random_iid(60, 30, seed=1)
-    h = spectral.eigen_histogram(f, 24, trials=40, seed=0,
-                                 value_range=(0.0, 1.02 * spectral.mp_edges(30 / 24)[1]))
+    assert spectral.reference_law(f, 24).value_range == (
+        0.0, 1.02 * spectral.mp_edges(30 / 24)[1])
+    h = spectral.eigen_histogram(f, 24, trials=40, seed=0)
     area = float(np.sum(h.density * np.diff(h.bin_edges)))
     assert abs(area - 1.0) < 1e-12
 
@@ -1290,8 +1303,9 @@ def test_eigen_histogram_area_one():
 def test_l1_distance_detects_fit_quality():
     f = frames.build_random_iid(300, 150, seed=2)
     beta = 150 / 120
-    h = spectral.eigen_histogram(f, 120, trials=60, bins=60, seed=0,
-                                 value_range=(0.0, 1.02 * spectral.mp_edges(beta)[1]))
+    assert spectral.reference_law(f, 120).value_range == (
+        0.0, 1.02 * spectral.mp_edges(beta)[1])
+    h = spectral.eigen_histogram(f, 120, trials=60, bins=60, seed=0)
     good = spectral.l1_density_distance(h, lambda x: spectral.mp_density(x, beta))
     bad = spectral.l1_density_distance(h, lambda x: spectral.mp_density(x, 4.0))
     assert good < 0.25
